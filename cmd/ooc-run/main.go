@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/cliutil"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
@@ -42,9 +41,8 @@ func main() {
 		traceStream = flag.String("trace-stream", "", "write spans incrementally as NDJSON to this file while the run executes")
 		statsJSON   = flag.String("stats-json", "", "write the execution statistics snapshot as JSON to this file")
 
-		resume   = flag.Bool("resume", false, "resume from the last checkpoint in -datadir instead of starting fresh")
-		useBC    = flag.Bool("bytecode", false, "execute through the compiled opcode stream instead of the plan-tree walk")
-		version  = flag.Bool("version", false, "print build information and exit")
+		resume  = flag.Bool("resume", false, "resume from the last checkpoint in -datadir instead of starting fresh")
+		version = flag.Bool("version", false, "print build information and exit")
 	)
 	var rf cliutil.RunFlags
 	rf.Register(nil)
@@ -72,15 +70,6 @@ func main() {
 	}
 	fmt.Printf("compiled %s: strategy %s on %d processors, n=%d\n",
 		res.Program.Name, res.Program.Strategy, res.Program.Procs, res.Program.N)
-	var bc *bytecode.Program
-	if *useBC {
-		bc, err = bytecode.Compile(res.Program)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("lowered to bytecode: %d instructions, %d expression programs, %s encoded\n",
-			len(bc.Code), len(bc.Exprs), cliutil.FormatBytes(int64(len(bytecode.Encode(bc)))))
-	}
 
 	var baseFS iosim.FS
 	if *dataDir != "" {
@@ -116,7 +105,6 @@ func main() {
 	}
 	eopts.Fill = cliutil.FillsFor(res)
 	eopts.Trace = tracer
-	eopts.Bytecode = bc
 	var out *exec.Result
 	if len(eopts.Kill) > 0 {
 		// An injected fail-stop loss: detect via heartbeats, agree, rebuild

@@ -1,27 +1,25 @@
 // Package bytecode lowers compiled node programs (plan.Program) to a
 // flat, versioned, serializable per-rank opcode stream executed by a
-// tight fetch-decode loop in package exec. The tree-walking interpreter
-// re-dispatches through the plan node switch on every slab iteration,
-// re-resolving names through maps each time; the bytecode compiler
-// resolves every operand once — loop variables, slab buffers and
-// accumulation vectors become slot indices, arrays become table indices
-// with their distribution and strip-mining decisions attached,
-// redistribution methods are pre-parsed, elementwise expressions are
-// flattened to postfix programs — so the hot path is an integer-indexed
-// dispatch over a fixed instruction array.
+// tight fetch-decode loop in package exec, which lowers every plan it
+// runs. The compiler resolves every operand once — loop variables, slab
+// buffers and accumulation vectors become slot indices, arrays become
+// table indices with their distribution and strip-mining decisions
+// attached, redistribution methods are pre-parsed, elementwise
+// expressions are flattened to postfix programs — so the hot path is an
+// integer-indexed dispatch over a fixed instruction array.
 //
-// The lowering is semantics-preserving to the bit: a program executed
-// through its bytecode performs the identical sequence of file, message
-// and arithmetic operations as the tree walk, commits checkpoints at the
-// same (node, iteration) cursors, and emits the same trace spans, so
-// simulated seconds, statistics counters and trace.Reconcile agree
-// exactly between the two execution paths (pinned by the equivalence
-// matrix in package exec).
+// The lowering fixes the run's observable behavior: the sequence of
+// file, message and arithmetic operations (including the float
+// accumulation order), the (node, iteration) cursors checkpoints commit
+// at, and the trace spans. Package exec's golden fixtures pin all of it —
+// simulated seconds to the bit, statistics, span streams, trace.Reconcile
+// verdicts and checkpoint manifests — against the outputs frozen from
+// the plan-tree interpreter the bytecode engine replaced.
 //
 // A Program has a stable binary encoding (magic, version, CRC-framed;
-// see Encode/Decode) so compiled plans can be persisted and replayed —
-// the artifact the serving layer's plan cache stores and the prerequisite
-// for cross-restart cache persistence keyed on plan.Fingerprint.
+// see Encode/Decode) so compiled plans can be persisted and replayed
+// (ooc-compile -bytecode prints the disassembly), matched to their plan
+// by plan.Fingerprint.
 package bytecode
 
 import (
@@ -172,8 +170,9 @@ type Instr struct {
 
 // ExprOp is one opcode of a postfix expression program (the lowered form
 // of plan.EExpr, evaluated column-at-a-time by the executor over a small
-// buffer stack with in-place left-operand mutation — the same float
-// operation sequence as the recursive tree evaluation).
+// buffer stack with in-place left-operand mutation; the float operation
+// order is the expression's left-to-right evaluation order, which package
+// exec's golden fixtures pin).
 type ExprOp uint8
 
 // Expression opcodes.
@@ -234,9 +233,8 @@ type Program struct {
 	N, Procs int
 	Strategy string
 	// Fingerprint is plan.Fingerprint of the lowered program (no
-	// extras): the identity the executor verifies before running this
-	// stream against a plan, and the key a persisted cache stores it
-	// under.
+	// extras), set by Compile and empty from Lower: the identity a
+	// persisted stream is matched to its plan by.
 	Fingerprint string
 	// Arrays is the array table: every out-of-core array with its
 	// distribution and strip-mining decision, in plan order. Instruction

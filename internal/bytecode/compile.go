@@ -7,27 +7,37 @@ import (
 	"github.com/ooc-hpf/passion/internal/plan"
 )
 
-// Compile lowers a plan program to its flat opcode stream. Every name the
-// tree-walking interpreter would resolve through a map at runtime — loop
-// variables, slab buffers, accumulation vectors, arrays — is resolved
-// here, once, to a slot or table index, and every structural property the
-// interpreter re-derives per node (checkpoint eligibility, redistribution
-// method, per-element operation counts, span labels) is precomputed into
+// Compile lowers a plan program to its flat opcode stream and records
+// the plan's fingerprint, the form Encode persists. Every name the plan
+// uses — loop variables, slab buffers, accumulation vectors, arrays — is
+// resolved here, once, to a slot or table index, and every structural
+// property of a node (checkpoint eligibility, redistribution method,
+// per-element operation counts, span labels) is precomputed into
 // instruction operands.
 //
-// Compile also performs the static checks the interpreter performs
-// dynamically: a reference to an undefined buffer, a dead loop variable or
-// an unknown array — conditions the tree walk would hit on the first
-// iteration anyway — become compile errors.
+// Compile also performs the static checks a run would otherwise fail on
+// at its first visit to the node: a reference to an undefined buffer, a
+// dead loop variable or an unknown array is a compile error.
 func Compile(p *plan.Program) (*Program, error) {
+	bc, err := Lower(p)
+	if err != nil {
+		return nil, err
+	}
+	bc.Fingerprint = plan.Fingerprint(p, nil)
+	return bc, nil
+}
+
+// Lower is Compile without the fingerprint, which costs more than the
+// lowering itself: package exec lowers every plan it runs and never
+// persists the stream.
+func Lower(p *plan.Program) (*Program, error) {
 	c := &compiler{
 		bc: &Program{
-			Name:        p.Name,
-			N:           p.N,
-			Procs:       p.Procs,
-			Strategy:    p.Strategy,
-			Fingerprint: plan.Fingerprint(p, nil),
-			Arrays:      append([]plan.ArraySpec(nil), p.Arrays...),
+			Name:     p.Name,
+			N:        p.N,
+			Procs:    p.Procs,
+			Strategy: p.Strategy,
+			Arrays:   append([]plan.ArraySpec(nil), p.Arrays...),
 		},
 		arrays: make(map[string]int32, len(p.Arrays)),
 		vars:   make(map[string]int32),
@@ -80,8 +90,8 @@ type compiler struct {
 	bufs   map[string]int32
 	vecs   map[string]int32
 	// live tracks which loop variables are in scope at the current
-	// compile point (the static mirror of the interpreter's set/delete
-	// on its vars map).
+	// compile point: a loop variable lives from its loop's entry to its
+	// exit.
 	live map[string]bool
 }
 
@@ -99,7 +109,7 @@ func (c *compiler) arrayIdx(name, what string) (int32, error) {
 }
 
 // varDef brings a loop variable into scope, assigning its slot on first
-// use. Shadowing is rejected: the interpreter's flat variable map would
+// use. Shadowing is rejected: the plan's flat variable namespace would
 // silently clobber and then kill the outer binding.
 func (c *compiler) varDef(name string) (int32, error) {
 	if c.live[name] {
@@ -402,8 +412,9 @@ func (c *compiler) compileNode(n plan.Node) error {
 
 // compileExpr flattens an elementwise expression to postfix: left
 // subtree, right subtree, operator. The executor's stack evaluation then
-// performs the identical sequence of float operations the recursive tree
-// evaluation performs. shift selects the ShiftEwise leaf set (shifted
+// performs the float operations in the expression's left-to-right
+// evaluation order — the order package exec's golden fixtures pin. shift
+// selects the ShiftEwise leaf set (shifted
 // array reads) over the Ewise one (aligned buffer reads).
 func (c *compiler) compileExpr(e plan.EExpr, shift bool) (int32, error) {
 	var code []ExprInstr

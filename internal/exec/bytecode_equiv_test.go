@@ -17,17 +17,22 @@ import (
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-// bcEquivScenario runs one compiled program twice — tree walk and
-// bytecode — under identical options and demands bitwise-identical
-// observable behavior.
+// bcEquivScenario is one entry of the golden matrix: a compiled program
+// and the options it runs under, checked against outputs frozen from the
+// plan-tree interpreter (golden_test.go). The two kill-and-resume
+// scenarios keep the names of the cross-engine resume pair the matrix
+// used to hold: row-slab resumes from the run's initial checkpoint,
+// column-slab from a mid-loop one carrying staging and auto-staging
+// state. In both, the manifests the resume reads must be byte-identical
+// to the ones the old engine wrote.
 type bcEquivScenario struct {
 	name    string
 	source  string
 	copts   compiler.Options
 	fills   map[string]func(int, int) float64
-	options Options // Trace and Bytecode filled in per run
+	options Options // Trace filled in per run
 	outputs []string
-	resume  string // "", "bc-resumes-tree", "tree-resumes-bc"
+	resume  string // "" for a plain run, else the kill-and-resume pair member
 }
 
 func bcEquivScenarios() []bcEquivScenario {
@@ -103,7 +108,7 @@ func bcEquivScenarios() []bcEquivScenario {
 		{
 			name:    "gaxpy/bytecode-ckpt-tree-resume",
 			source:  hpf.GaxpySource,
-			copts:   gaxpyScenarioOpts("row-slab"),
+			copts:   gaxpyScenarioOpts("column-slab"),
 			fills:   sweepFills(),
 			options: Options{Checkpoint: &CheckpointSpec{Every: 1}},
 			outputs: []string{"c"},
@@ -140,8 +145,8 @@ func bcEquivScenarios() []bcEquivScenario {
 	}
 }
 
-// scenarioOpts builds one run's Options, creating fresh per-run state
-// (FS, tracer) so the two runs cannot share mutable state.
+// runOpts builds one run's Options, creating fresh per-run state (FS,
+// tracer) so successive runs cannot share mutable state.
 func (sc *bcEquivScenario) runOpts(procs int) Options {
 	opts := sc.options
 	opts.Fill = sc.fills
@@ -156,173 +161,15 @@ func (sc *bcEquivScenario) runOpts(procs int) Options {
 	return opts
 }
 
-// TestBytecodeMatchesTreeAcrossScenarios is the tentpole acceptance
-// gate: for every kernel and fault mode, the compiled opcode stream and
-// the plan-tree walk produce bitwise-identical simulated time, identical
-// I/O statistics, bitwise-identical output arrays, and a span timeline
-// that reconciles exactly. The bytecode path is an implementation swap,
-// not a semantic one.
-func TestBytecodeMatchesTreeAcrossScenarios(t *testing.T) {
-	for _, sc := range bcEquivScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			res, err := compiler.CompileSource(sc.source, sc.copts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bc, err := bytecode.Compile(res.Program)
-			if err != nil {
-				t.Fatalf("bytecode compile: %v", err)
-			}
-			mach := sim.Delta(res.Program.Procs)
-
-			var tree, bcout *Result
-			switch sc.resume {
-			case "":
-				topts := sc.runOpts(res.Program.Procs)
-				tree, err = Run(res.Program, mach, topts)
-				if err != nil {
-					t.Fatalf("tree run: %v", err)
-				}
-				if err := trace.Reconcile(topts.Trace.Spans(), tree.Stats, tree.PerArray); err != nil {
-					t.Fatalf("tree spans do not reconcile:\n%v", err)
-				}
-				bopts := sc.runOpts(res.Program.Procs)
-				bopts.Bytecode = bc
-				bcout, err = Run(res.Program, mach, bopts)
-				if err != nil {
-					t.Fatalf("bytecode run: %v", err)
-				}
-				if err := trace.Reconcile(bopts.Trace.Spans(), bcout.Stats, bcout.PerArray); err != nil {
-					t.Fatalf("bytecode spans do not reconcile:\n%v", err)
-				}
-				compareSpanShapes(t, topts.Trace.Spans(), bopts.Trace.Spans())
-			case "bc-resumes-tree":
-				tree = killAndResumeBC(t, res, mach, sc, nil, bc)
-				bcout = killAndResumeBC(t, res, mach, sc, bc, bc)
-			case "tree-resumes-bc":
-				tree = killAndResumeBC(t, res, mach, sc, nil, nil)
-				bcout = killAndResumeBC(t, res, mach, sc, bc, nil)
-			}
-
-			tt, bt := tree.Stats.ElapsedSeconds(), bcout.Stats.ElapsedSeconds()
-			if tt != bt {
-				t.Errorf("simulated time differs: tree %.12f vs bytecode %.12f", tt, bt)
-			}
-			tio, bio := tree.Stats.TotalIO(), bcout.Stats.TotalIO()
-			if tio != bio {
-				t.Errorf("I/O statistics differ:\ntree     %+v\nbytecode %+v", tio, bio)
-			}
-			for _, name := range sc.outputs {
-				tm, err := tree.ReadArray(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bm, err := bcout.ReadArray(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !matrix.Equal(tm, bm) {
-					t.Errorf("array %q differs between tree and bytecode", name)
-				}
-			}
-		})
-	}
-}
-
-// compareSpanShapes checks the two timelines are the same sequence of
-// (kind, label, start, dur) — the bytecode run emits spans at exactly
-// the tree walk's op boundaries.
-func compareSpanShapes(t *testing.T, tree, bc []trace.Span) {
-	t.Helper()
-	if len(tree) != len(bc) {
-		t.Errorf("span counts differ: tree %d vs bytecode %d", len(tree), len(bc))
-		return
-	}
-	for i := range tree {
-		a, b := tree[i], bc[i]
-		if a.Kind != b.Kind || a.Label != b.Label || a.Start != b.Start || a.Dur != b.Dur || a.N != b.N {
-			t.Errorf("span %d differs:\ntree     %+v\nbytecode %+v", i, a, b)
-			return
-		}
-	}
-}
-
-// killAndResumeBC kills a checkpointed run mid-flight and resumes it,
-// with independently selectable dispatch (tree or bytecode) for the
-// initial run and the resume. Cross-dispatch resume proves the two
-// engines write and read interchangeable checkpoints.
-func killAndResumeBC(t *testing.T, res *compiler.Result, mach sim.Config, sc bcEquivScenario, runBC, resumeBC *bytecode.Program) *Result {
-	t.Helper()
-	probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
-	probeOpts := sc.runOpts(res.Program.Procs)
-	probeOpts.Trace = nil
-	probeOpts.FS = probe
-	probeOpts.Bytecode = runBC
-	if _, err := Run(res.Program, mach, probeOpts); err != nil {
-		t.Fatal(err)
-	}
-	total := 1<<30 - probe.Remaining()
-
-	for k := total * 2 / 3; k >= 1; k-- {
-		mem := iosim.NewMemFS()
-		killOpts := sc.runOpts(res.Program.Procs)
-		killOpts.Trace = nil
-		killOpts.FS = iosim.NewFaultFS(mem, k, nil)
-		killOpts.Bytecode = runBC
-		if _, err := Run(res.Program, mach, killOpts); err == nil {
-			continue // budget k sufficed; kill earlier
-		}
-		resumeOpts := sc.runOpts(res.Program.Procs)
-		resumeOpts.FS = mem
-		resumeOpts.Bytecode = resumeBC
-		out, err := Resume(res.Program, mach, resumeOpts)
-		if err != nil {
-			continue // killed mid-commit or before the first checkpoint
-		}
-		if err := trace.Reconcile(resumeOpts.Trace.Spans(), out.Stats, out.PerArray); err != nil {
-			t.Fatalf("resume spans do not reconcile:\n%v", err)
-		}
-		return out
-	}
-	t.Fatal("no kill point produced a resumable checkpoint")
-	return nil
-}
-
-// TestBytecodeFingerprintMismatchRejected pins the cache-safety check: a
-// bytecode program compiled from a different plan is refused before any
-// array is touched.
-func TestBytecodeFingerprintMismatchRejected(t *testing.T) {
-	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := compiler.CompileSource(hpf.TransposeSource,
-		compiler.Options{N: 64, Procs: 4, MemElems: 16 * 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := bytecode.Compile(other.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(res.Program, sim.Delta(4), Options{Bytecode: bc})
-	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("mismatched bytecode must be rejected with a fingerprint error, got: %v", err)
-	}
-}
-
-// TestBytecodeCancelledAtOpBoundary mirrors the tree walk's cancellation
-// contract through the dispatch loop.
+// TestBytecodeCancelledAtOpBoundary pins the cancellation contract of
+// the dispatch loop: a cancelled context stops the run at an instruction
+// boundary and surfaces context.Canceled.
 func TestBytecodeCancelledAtOpBoundary(t *testing.T) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := bytecode.Compile(res.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunCtx(newCancelAfter(5), res.Program, sim.Delta(4), Options{Bytecode: bc})
+	_, err = RunCtx(newCancelAfter(5), res.Program, sim.Delta(4), Options{})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled bytecode run must surface context.Canceled, got: %v", err)
 	}
@@ -332,8 +179,8 @@ func TestBytecodeCancelledAtOpBoundary(t *testing.T) {
 }
 
 // TestBytecodeRoundTripStillRuns executes a decoded stream — the persisted
-// form a plan cache would hand back — and checks it behaves like the
-// directly compiled one.
+// form ooc-compile writes — and checks it behaves like the stream Run
+// lowers itself.
 func TestBytecodeRoundTripStillRuns(t *testing.T) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
 	if err != nil {
@@ -347,12 +194,11 @@ func TestBytecodeRoundTripStillRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Fill: sweepFills(), Bytecode: decoded}
-	out, err := Run(res.Program, sim.Delta(4), opts)
+	out, err := run(context.Background(), res.Program, decoded, sim.Delta(4), Options{Fill: sweepFills()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run(res.Program, sim.Delta(4), Options{Fill: sweepFills(), Bytecode: bc})
+	direct, err := Run(res.Program, sim.Delta(4), Options{Fill: sweepFills()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +219,8 @@ func TestBytecodeRoundTripStillRuns(t *testing.T) {
 }
 
 // plan.Fingerprint invariance under lowering: the bytecode program
-// carries the plan's fingerprint verbatim, so a cache keyed on the plan
-// fingerprint can serve either representation.
+// carries the plan's fingerprint verbatim, so a persisted stream can be
+// matched to the plan it was lowered from.
 func TestBytecodeCarriesPlanFingerprint(t *testing.T) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
 	if err != nil {
@@ -386,5 +232,32 @@ func TestBytecodeCarriesPlanFingerprint(t *testing.T) {
 	}
 	if want := plan.Fingerprint(res.Program, nil); bc.Fingerprint != want {
 		t.Fatalf("bytecode fingerprint %s, plan fingerprint %s", bc.Fingerprint, want)
+	}
+}
+
+// TestLoweringFailureStartsNoRank: a plan the bytecode compiler rejects
+// fails Run, Resume and RunResilient before any rank starts, leaving no
+// local array file on the backing store.
+func TestLoweringFailureStartsNoRank(t *testing.T) {
+	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *res.Program
+	bad.Body = append([]plan.Node{&plan.WriteBuf{Array: "c", Buf: "never-read"}}, res.Program.Body...)
+	fs := iosim.NewMemFS()
+	out, err := Run(&bad, sim.Delta(4), Options{FS: fs, Fill: sweepFills()})
+	if err == nil || !strings.Contains(err.Error(), "bytecode") {
+		t.Fatalf("unlowerable plan must fail with a lowering error, got result %v, err %v", out, err)
+	}
+	ckpt := &CheckpointSpec{Every: 1}
+	if _, err := Resume(&bad, sim.Delta(4), Options{FS: fs, Checkpoint: ckpt}); err == nil || errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("Resume must reject the unlowerable plan before reading manifests, got %v", err)
+	}
+	if _, err := RunResilient(&bad, sim.Delta(4), Options{FS: fs, Checkpoint: ckpt, Parity: true}, 1); err == nil {
+		t.Fatal("RunResilient accepted an unlowerable plan")
+	}
+	if names := fs.Names(); len(names) != 0 {
+		t.Fatalf("failed lowering left files behind: %v", names)
 	}
 }

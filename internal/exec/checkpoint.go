@@ -19,7 +19,7 @@ import (
 
 // CheckpointSpec enables checkpoint/restart for an execution: at eligible
 // boundaries each processor snapshots the local files of every mutated
-// array plus the interpreter's cross-boundary state (staging buffers and
+// array plus the executor's cross-boundary state (staging buffers and
 // the global column counter) and an iteration cursor, committing them to
 // a per-processor manifest. A failed or killed run restarts from the last
 // globally consistent checkpoint with exec.Resume.
@@ -278,26 +278,25 @@ func (in *interp) doCheckpoint(nodeIdx, iter int) error {
 		Arrays:  arrays,
 		Run:     in.snapshotStats(ckptStart),
 	}
-	if len(in.auto) > 0 {
-		man.Auto = make(map[string]bool, len(in.auto))
-		for k, v := range in.auto {
-			man.Auto[k] = v
+	// The slot tables serialize keyed by array name; encoding/json sorts
+	// map keys, so the manifest bytes do not depend on table order.
+	for i, spec := range in.bc.Arrays {
+		if in.tab[i].autoOn {
+			if man.Auto == nil {
+				man.Auto = make(map[string]bool)
+				man.AutoIdx = make(map[string]int)
+			}
+			man.Auto[spec.Name] = true
+			man.AutoIdx[spec.Name] = in.tab[i].autoIdx
 		}
-	}
-	if len(in.autoIdx) > 0 {
-		man.AutoIdx = make(map[string]int, len(in.autoIdx))
-		for k, v := range in.autoIdx {
-			man.AutoIdx[k] = v
-		}
-	}
-	for name, s := range in.staging {
+		s := in.tab[i].staging
 		if s == nil {
 			continue
 		}
 		if man.Staging == nil {
 			man.Staging = make(map[string]*ckptICLA)
 		}
-		man.Staging[name] = &ckptICLA{
+		man.Staging[spec.Name] = &ckptICLA{
 			RowOff: s.RowOff, ColOff: s.ColOff,
 			Rows: s.Rows, Cols: s.Cols,
 			Data: floatsToB64(s.Data),
@@ -345,9 +344,10 @@ func (in *interp) snapshotStats(clock float64) *ckptStats {
 	return s
 }
 
-// restoreFromManifest rebuilds the interpreter's cross-boundary state and
-// the mutated arrays' local files from a committed checkpoint. It runs
-// after the arrays have been opened (not created) by newInterp.
+// restoreFromManifest rebuilds the executor's cross-boundary state (the
+// counter, auto-staging cursors and staging slots) and the mutated
+// arrays' local files from a committed checkpoint. It runs after the
+// arrays have been opened (not created) by initArrays.
 func (in *interp) restoreFromManifest(m *ckptManifest) error {
 	spec := in.ckptSpec
 	slot := m.Epoch % ckptSlots
@@ -377,13 +377,25 @@ func (in *interp) restoreFromManifest(m *ckptManifest) error {
 		}
 	}
 	in.counter = m.Counter
-	for k, v := range m.Auto {
-		in.auto[k] = v
+	for name, on := range m.Auto {
+		i, err := in.arrayIndexOf(name)
+		if err != nil {
+			return err
+		}
+		in.tab[i].autoOn = on
 	}
-	for k, v := range m.AutoIdx {
-		in.autoIdx[k] = v
+	for name, idx := range m.AutoIdx {
+		i, err := in.arrayIndexOf(name)
+		if err != nil {
+			return err
+		}
+		in.tab[i].autoIdx = idx
 	}
 	for name, c := range m.Staging {
+		i, err := in.arrayIndexOf(name)
+		if err != nil {
+			return err
+		}
 		data, err := b64ToFloats(c.Data)
 		if err != nil {
 			return fmt.Errorf("exec: restore staging of %q: %w", name, err)
@@ -391,7 +403,7 @@ func (in *interp) restoreFromManifest(m *ckptManifest) error {
 		if len(data) != c.Rows*c.Cols {
 			return fmt.Errorf("exec: restore staging of %q: %d elements for %dx%d", name, len(data), c.Rows, c.Cols)
 		}
-		in.staging[name] = &oocarray.ICLA{RowOff: c.RowOff, ColOff: c.ColOff, Rows: c.Rows, Cols: c.Cols, Data: data}
+		in.tab[i].staging = &oocarray.ICLA{RowOff: c.RowOff, ColOff: c.ColOff, Rows: c.Rows, Cols: c.Cols, Data: data}
 	}
 	in.ckptEpoch = m.Epoch + 1
 	if in.restoreStats && m.Run != nil {

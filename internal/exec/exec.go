@@ -1,19 +1,20 @@
-// Package exec interprets compiled node programs (plan.Program) on the
-// simulated distributed memory machine: P processor goroutines run the
-// program's Body in SPMD style against their out-of-core local arrays,
-// performing real file I/O, real message passing and real arithmetic
-// while the simulated clocks accumulate the machine-model costs.
+// Package exec runs compiled node programs (plan.Program) on the
+// simulated distributed memory machine: the program is lowered to its
+// opcode stream (internal/bytecode) and P processor goroutines execute it
+// in SPMD style against their out-of-core local arrays, performing real
+// file I/O, real message passing and real arithmetic while the simulated
+// clocks accumulate the machine-model costs.
 package exec
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/bytecode"
-	"github.com/ooc-hpf/passion/internal/collio"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/mp"
@@ -91,15 +92,6 @@ type Options struct {
 	// number. Chaos and test harnesses use it to crash, cancel or
 	// observe a run at a deterministic mid-run boundary.
 	CkptHook func(epoch int)
-	// Bytecode, when non-nil, executes the program through its compiled
-	// opcode stream (internal/bytecode) instead of walking the plan tree:
-	// a tight fetch-decode loop over preresolved slots replaces the
-	// per-node type switch and name lookups. The stream must have been
-	// compiled from this exact program — the fingerprints are verified
-	// before the run starts. Execution is semantically identical to the
-	// tree walk down to the bit: same I/O, messages, float operation
-	// order, checkpoint cursors and trace spans.
-	Bytecode *bytecode.Program
 }
 
 // mpOptions maps the execution options onto the message-passing
@@ -188,13 +180,17 @@ func Run(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 }
 
 // RunCtx is Run under a context: a cancelled or expired context stops
-// every processor at its next plan-node boundary, the run unwinds like
+// every processor at its next instruction boundary, the run unwinds like
 // any other failed attempt (files removed unless checkpointed, slab
 // buffers returned to the arena), and the returned error wraps
 // ctx.Err(). The check is free on the plain path — context.Background's
 // Err is a constant nil.
 func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	res, err := run(ctx, p, mach, opts, nil, nil)
+	bc, err := lower(p)
+	if err != nil {
+		return nil, err
+	}
+	res, err := run(ctx, p, bc, mach, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -220,36 +216,42 @@ func ResumeCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Optio
 	if opts.FS == nil {
 		return nil, fmt.Errorf("exec: Resume requires the original Options.FS")
 	}
+	bc, err := lower(p)
+	if err != nil {
+		return nil, err
+	}
 	manifests, err := loadResumeManifests(opts.FS, opts.Checkpoint, p.Procs)
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(ctx, p, mach, opts, manifests, nil)
+	res, err := run(ctx, p, bc, mach, opts, manifests, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// run executes the program, optionally restarting every processor from
-// its entry in resume (indexed by rank; nil means a fresh run).
-// respawned lists ranks restarted after a fail-stop loss — they record a
-// respawn instant at attempt start. On failure the partial Result (with
-// the attempt's statistics) is returned alongside the error so the
-// recovery loop can report and reconcile aborted attempts; the exported
-// entry points discard it.
-func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
+// lower compiles the program to its opcode stream. It runs before any
+// rank starts or any file is created, so a plan that cannot be lowered
+// fails the run cleanly.
+func lower(p *plan.Program) (*bytecode.Program, error) {
+	bc, err := bytecode.Lower(p)
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
+	return bc, nil
+}
+
+// run executes the lowered program bc of p, optionally restarting every
+// processor from its entry in resume (indexed by rank; nil means a fresh
+// run). respawned lists ranks restarted after a fail-stop loss — they
+// record a respawn instant at attempt start. On failure the partial
+// Result (with the attempt's statistics) is returned alongside the error
+// so the recovery loop can report and reconcile aborted attempts; the
+// exported entry points discard it.
+func run(ctx context.Context, p *plan.Program, bc *bytecode.Program, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.Bytecode != nil {
-		// Verify once, before any rank starts: a stream compiled from a
-		// different program would execute the wrong access pattern
-		// against this program's arrays.
-		if fp := plan.Fingerprint(p, nil); fp != opts.Bytecode.Fingerprint {
-			return nil, fmt.Errorf("exec: bytecode fingerprint %s does not match plan fingerprint %s",
-				opts.Bytecode.Fingerprint, fp)
-		}
 	}
 	mach.Procs = p.Procs
 	fs := opts.FS
@@ -264,6 +266,7 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 			pstore.Protect(spec.Name)
 		}
 	}
+	shiftInputs := shiftInputsOf(bc)
 	perArray := make([]map[string]*trace.IOStats, mach.Procs)
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))
@@ -284,11 +287,11 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 		if resume != nil {
 			man = resume[proc.Rank()]
 		}
-		in := newInterp(ctx, p, proc, fs, opts, pstore)
+		in := newInterp(ctx, p, bc, shiftInputs, proc, fs, opts, pstore)
 		perArray[proc.Rank()] = in.perArray
 		// Runs last (defers are LIFO): whatever path the run leaves by —
 		// success, cancellation, fault abort, plan-bug panic — the slab
-		// buffers the interpreter still holds go back to the arena.
+		// buffers the executor still holds go back to the arena.
 		defer in.releaseBufs()
 		// Fold the per-array statistics into the processor total, in
 		// sorted-key order so the float sums are reproducible (and match
@@ -330,8 +333,6 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 		startNode, startIter := 0, 0
 		if man != nil {
 			startNode, startIter = man.NodeIdx, man.Iter
-		}
-		if man != nil {
 			// Resuming attaches to pre-existing local array files whose
 			// parity may be stale (the crash can have interrupted a
 			// read-modify-write); rebuild redundancy before computing.
@@ -345,11 +346,7 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 				proc.Barrier(ckptTag)
 			}
 		}
-		if opts.Bytecode != nil {
-			if err := in.runBytecode(opts.Bytecode, startNode, startIter); err != nil {
-				return err
-			}
-		} else if err := in.runTop(p.Body, startNode, startIter); err != nil {
+		if err := in.execute(startNode, startIter); err != nil {
 			return err
 		}
 		// A degraded run (lost parity during a fault) must restore full
@@ -423,11 +420,17 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter
+// Per-rank executor
 
+// interp executes a lowered opcode stream for one rank. Every name the
+// plan uses is a slot or table index here: arrays (with their slabbings,
+// writers, staging and auto-staging state) by array-table index, loop
+// variables, slab buffers and accumulation vectors by slot, prefetch
+// readers by reader slot.
 type interp struct {
 	ctx     context.Context
 	prog    *plan.Program
+	bc      *bytecode.Program
 	proc    *mp.Proc
 	phantom bool
 	fs      iosim.FS
@@ -445,49 +448,63 @@ type interp struct {
 	restoreStats  bool
 	statsRestored bool
 
-	arrays    map[string]*oocarray.Array
-	slabbings map[string]oocarray.Slabbing
-	vars      map[string]int
-	bufs      map[string]*oocarray.ICLA
-	vecs      map[string][]float64
-
-	// staging holds each output array's current staging buffer; autoIdx
-	// tracks the counter-driven slab index for AutoStage arrays (-1 when
-	// none is active).
-	staging map[string]*oocarray.ICLA
-	auto    map[string]bool
-	autoIdx map[string]int
+	// tab holds the per-array state, by array-table index.
+	tab []arrayState
 
 	// counter is the implicit global column counter of SumStore.
 	counter int
 
-	// readers caches a SlabReader per Stream-marked ReadSlab node, so
-	// sequential scans can be prefetched; readerNext tracks the slab
-	// index each reader will deliver.
-	readers    map[*plan.ReadSlab]*oocarray.SlabReader
-	readerNext map[*plan.ReadSlab]int
+	// Slot tables.
+	vars []int
+	bufs []*oocarray.ICLA
+	vecs [][]float64
+
+	// Prefetch readers, one slot per stream-marked LOAD_SLAB, and the
+	// slab index each will deliver next.
+	readers    []*oocarray.SlabReader
+	readerNext []int
+
+	// frames is the live loop stack.
+	frames []bcFrame
+
+	// shiftInputs holds, per expression program, the distinct arrays its
+	// shifted reads reference in first-use order: the ghost-exchange
+	// order, which fixes the message tags. Shared read-only by all ranks.
+	shiftInputs [][]int32
+
+	// estack is the expression evaluation scratch stack, sized once to
+	// the deepest expression in the program.
+	estack [][]float64
 
 	// perArray attributes I/O statistics to individual arrays.
 	perArray map[string]*trace.IOStats
-
-	// writers holds per-array write-behind pipelines when
-	// Options.Runtime.WriteBehind is set.
-	writers map[string]*oocarray.SlabWriter
-
-	// bce is the bytecode executor when the run dispatches through a
-	// compiled opcode stream (Options.Bytecode); releaseBufs drains its
-	// slot tables alongside the interpreter's maps.
-	bce *bcExec
 }
 
-// newInterp builds the interpreter shell; initArrays creates the arrays.
-// The split lets the node closure register the per-array statistics map
+// arrayState is one array's runtime state on a rank.
+type arrayState struct {
+	arr  *oocarray.Array
+	slab oocarray.Slabbing
+	// writer is the write-behind pipeline (nil unless
+	// Options.Runtime.WriteBehind is set).
+	writer *oocarray.SlabWriter
+	// staging is the output array's current staging buffer.
+	staging *oocarray.ICLA
+	// autoOn marks AutoStage arrays; autoIdx is their counter-driven
+	// slab index (-1 when none is active).
+	autoOn  bool
+	autoIdx int
+}
+
+// newInterp builds the executor shell; initArrays creates the arrays.
+// The split lets the rank closure register the per-array statistics map
 // before any I/O happens, so even a rank killed during array fill leaves
 // reconcilable statistics behind.
-func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store) *interp {
+func newInterp(ctx context.Context, p *plan.Program, bc *bytecode.Program, shiftInputs [][]int32, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store) *interp {
+	na := len(bc.Arrays)
 	return &interp{
 		ctx:          ctx,
 		prog:         p,
+		bc:           bc,
 		proc:         proc,
 		phantom:      opts.Phantom,
 		fs:           fs,
@@ -496,18 +513,50 @@ func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS,
 		ckptSpec:     opts.Checkpoint,
 		ckptHook:     opts.CkptHook,
 		restoreStats: opts.RestoreStats,
-		arrays:       make(map[string]*oocarray.Array),
-		slabbings:    make(map[string]oocarray.Slabbing),
-		vars:         make(map[string]int),
-		bufs:         make(map[string]*oocarray.ICLA),
-		vecs:         make(map[string][]float64),
-		staging:      make(map[string]*oocarray.ICLA),
-		auto:         make(map[string]bool),
-		autoIdx:      make(map[string]int),
-		readers:      make(map[*plan.ReadSlab]*oocarray.SlabReader),
-		readerNext:   make(map[*plan.ReadSlab]int),
-		perArray:     make(map[string]*trace.IOStats),
+		tab:          make([]arrayState, na),
+		vars:         make([]int, len(bc.VarNames)),
+		bufs:         make([]*oocarray.ICLA, len(bc.BufNames)),
+		vecs:         make([][]float64, len(bc.VecNames)),
+		readers:      make([]*oocarray.SlabReader, bc.Readers),
+		readerNext:   make([]int, bc.Readers),
+		shiftInputs:  shiftInputs,
+		estack:       make([][]float64, 0, bc.MaxExprDepth()),
+		perArray:     make(map[string]*trace.IOStats, na),
 	}
+}
+
+// shiftInputsOf lists, per expression program of bc, the distinct arrays
+// its shifted reads reference, in first-use order.
+func shiftInputsOf(bc *bytecode.Program) [][]int32 {
+	out := make([][]int32, len(bc.Exprs))
+	for i, code := range bc.Exprs {
+		for _, ins := range code {
+			if ins.Op == bytecode.EPushShift && !slices.Contains(out[i], ins.A) {
+				out[i] = append(out[i], ins.A)
+			}
+		}
+	}
+	return out
+}
+
+// arrayIndexOf resolves an array name (from a checkpoint manifest or the
+// plan body) to its array-table index.
+func (in *interp) arrayIndexOf(name string) (int, error) {
+	for i, spec := range in.bc.Arrays {
+		if spec.Name == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("exec: unknown array %q", name)
+}
+
+// array resolves an array name to the rank's local array.
+func (in *interp) array(name string) (*oocarray.Array, error) {
+	i, err := in.arrayIndexOf(name)
+	if err != nil {
+		return nil, err
+	}
+	return in.tab[i].arr, nil
 }
 
 // initArrays creates (or, on resume, reattaches to) the rank's local
@@ -516,7 +565,7 @@ func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS,
 // I/O operations exactly as they can between message operations.
 func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
 	p, proc, fs, pstore := in.prog, in.proc, in.fs, in.pstore
-	for _, spec := range p.Arrays {
+	for i, spec := range in.bc.Arrays {
 		dm, err := spec.DistArray(p.Procs)
 		if err != nil {
 			return err
@@ -544,13 +593,10 @@ func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
 		if err != nil {
 			return err
 		}
-		in.arrays[spec.Name] = arr
-		in.slabbings[spec.Name] = arr.Slabbing(spec.SlabDim, spec.SlabElems)
+		in.tab[i].arr = arr
+		in.tab[i].slab = arr.Slabbing(spec.SlabDim, spec.SlabElems)
 		if opts.Runtime.WriteBehind {
-			if in.writers == nil {
-				in.writers = make(map[string]*oocarray.SlabWriter)
-			}
-			in.writers[spec.Name] = arr.NewSlabWriter()
+			in.tab[i].writer = arr.NewSlabWriter()
 		}
 		if spec.Role == plan.In && !opts.Phantom && resume == nil {
 			if fill, ok := opts.Fill[spec.Name]; ok {
@@ -613,483 +659,44 @@ func (in *interp) paritySync() error {
 }
 
 func (in *interp) close() {
-	for _, w := range in.writers {
-		w.Flush()
+	for _, a := range in.tab {
+		if a.writer != nil {
+			a.writer.Flush()
+		}
 	}
-	for _, a := range in.arrays {
-		a.Close()
+	for _, a := range in.tab {
+		if a.arr != nil {
+			a.arr.Close()
+		}
 	}
 }
 
-// runTop executes the program's top-level body from the cursor
-// (startNode, startIter), committing checkpoints at eligible boundaries
-// when checkpointing is on. startIter only applies to the loop at
-// startNode (per-iteration cursors are recorded only for SumStore loops).
-func (in *interp) runTop(body []plan.Node, startNode, startIter int) error {
-	if in.ckptSpec != nil && startNode == 0 && startIter == 0 && !in.statsRestored {
-		// Commit an initial checkpoint at cursor (0,0) so even a program
-		// whose body is a single non-loop node (e.g. one Redistribute) has
-		// an epoch to resume from if it crashes mid-node. A stats-exact
-		// resume at cursor (0,0) skips the re-commit: the uninterrupted
-		// run checkpointed here exactly once, and an extra barrier would
-		// shift the restored clocks.
-		if err := in.doCheckpoint(0, 0); err != nil {
-			return err
-		}
-	}
-	for i := startNode; i < len(body); i++ {
-		nodeStart := in.proc.Clock().Seconds()
-		loop, isLoop := body[i].(*plan.Loop)
-		first := 0
-		if i == startNode {
-			first = startIter
-		}
-		if isLoop && in.ckptSpec != nil && plan.HasSumStore(loop.Body) {
-			// Iterate here instead of in run() so a checkpoint with
-			// cursor (i, v) can be committed between iterations. The
-			// SumStore restriction makes the trip count globally
-			// uniform, so the checkpoint barrier is collective-safe.
-			count, err := in.count(loop.Count)
-			if err != nil {
-				return err
-			}
-			every := in.ckptSpec.every()
-			for v := first; v < count; v++ {
-				if v != first && v%every == 0 {
-					if err := in.doCheckpoint(i, v); err != nil {
-						return err
-					}
-				}
-				in.vars[loop.Var] = v
-				if err := in.runBody(loop.Body); err != nil {
-					return err
-				}
-			}
-			delete(in.vars, loop.Var)
-		} else if isLoop && first > 0 {
-			// Resuming into a loop checkpointed only at its boundary
-			// cannot happen (per-iteration cursors are only recorded for
-			// SumStore loops), but guard against a foreign manifest.
-			return fmt.Errorf("exec: checkpoint cursor (%d,%d) points into a non-resumable loop", i, first)
-		} else {
-			if err := in.run(body[i]); err != nil {
-				return err
-			}
-		}
-		if tr := in.proc.Tracer(); tr != nil {
-			if end := in.proc.Clock().Seconds(); end > nodeStart {
-				tr.Emit(trace.Span{Kind: trace.KindNode, Label: nodeLabel(body[i]),
-					Start: nodeStart, Dur: end - nodeStart, N: int64(i)})
-			}
-		}
-		if in.ckptSpec != nil && i+1 < len(body) {
-			if err := in.doCheckpoint(i+1, 0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// nodeLabel names a plan node for the trace overlay track.
-func nodeLabel(n plan.Node) string { return plan.NodeLabel(n) }
-
-func (in *interp) runBody(body []plan.Node) error {
-	for _, n := range body {
-		if err := in.run(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (in *interp) run(n plan.Node) error {
-	// Every plan node is an op boundary: a cancelled or expired context
-	// stops the rank here, before the node's I/O or communication. The
-	// plain path runs under context.Background, whose Err is a constant
-	// nil — the wallbench allocs/ns gates pin that at zero overhead.
-	if err := in.ctx.Err(); err != nil {
-		return fmt.Errorf("cancelled at op boundary: %w", err)
-	}
-	switch n := n.(type) {
-	case *plan.Loop:
-		count, err := in.count(n.Count)
-		if err != nil {
-			return err
-		}
-		for v := 0; v < count; v++ {
-			in.vars[n.Var] = v
-			if err := in.runBody(n.Body); err != nil {
-				return err
-			}
-		}
-		delete(in.vars, n.Var)
-		return nil
-
-	case *plan.ReadSlab:
-		arr, err := in.array(n.Array)
-		if err != nil {
-			return err
-		}
-		idx, ok := in.vars[n.Index]
-		if !ok {
-			return fmt.Errorf("exec: ReadSlab index %q is not a live loop variable", n.Index)
-		}
-		icla, err := in.readSlab(n, arr, idx)
-		if err != nil {
-			return err
-		}
-		old := in.bufs[n.Buf]
-		in.bufs[n.Buf] = icla
-		in.recycle(arr, old)
-		return nil
-
-	case *plan.NewStaging:
-		arr, err := in.array(n.Array)
-		if err != nil {
-			return err
-		}
-		like, ok := in.bufs[n.RowsLike]
-		if !ok {
-			return fmt.Errorf("exec: NewStaging rows-like buffer %q not read yet", n.RowsLike)
-		}
-		s := &oocarray.ICLA{
-			RowOff: like.RowOff, ColOff: 0,
-			Rows: like.Rows, Cols: arr.LocalCols(),
-			Data: bufpool.GetF64(like.Rows * arr.LocalCols()),
-		}
-		clear(s.Data)
-		oldStage := in.staging[n.Array]
-		oldBuf := in.bufs[n.Buf]
-		in.staging[n.Array] = s
-		in.bufs[n.Buf] = s
-		in.recycle(arr, oldStage)
-		in.recycle(arr, oldBuf)
-		return nil
-
-	case *plan.AutoStage:
-		in.auto[n.Array] = true
-		in.autoIdx[n.Array] = -1
-		return nil
-
-	case *plan.FlushStage:
-		return in.flushStage(n.Array)
-
-	case *plan.WriteBuf:
-		arr, err := in.array(n.Array)
-		if err != nil {
-			return err
-		}
-		buf, ok := in.bufs[n.Buf]
-		if !ok {
-			return fmt.Errorf("exec: WriteBuf of unknown buffer %q", n.Buf)
-		}
-		if w := in.writers[n.Array]; w != nil {
-			return w.Write(buf)
-		}
-		return arr.WriteSection(buf)
-
-	case *plan.ZeroVec:
-		rows, err := in.vecRows(n)
-		if err != nil {
-			return err
-		}
-		v := in.vecs[n.Vec]
-		if len(v) != rows {
-			v = make([]float64, rows)
-			in.vecs[n.Vec] = v
-		} else if !in.phantom {
-			for i := range v {
-				v[i] = 0
-			}
-		}
-		return nil
-
-	case *plan.Axpy:
-		return in.axpy(n)
-
-	case *plan.SumStore:
-		return in.sumStore(n)
-
-	case *plan.ResetCounter:
-		in.counter = 0
-		return nil
-
-	case *plan.NewSlab:
-		return in.runNewSlab(n)
-
-	case *plan.Ewise:
-		return in.runEwise(n)
-
-	case *plan.ShiftEwise:
-		return in.runShiftEwise(n)
-
-	case *plan.Redistribute:
-		return in.runRedistribute(n)
-
-	default:
-		return fmt.Errorf("exec: unknown node %T", n)
-	}
-}
-
-// runRedistribute executes a collective redistribution through the
-// two-phase I/O layer, with the write strategy the cost model chose.
-func (in *interp) runRedistribute(n *plan.Redistribute) error {
-	src, err := in.array(n.Src)
-	if err != nil {
-		return err
-	}
-	dst, err := in.array(n.Dst)
-	if err != nil {
-		return err
-	}
-	method, err := collio.ParseMethod(n.Method)
-	if err != nil {
-		return err
-	}
-	var transform func(gi, gj int) (int, int)
-	if n.Transpose {
-		transform = func(gi, gj int) (int, int) { return gj, gi }
-	}
-	return oocarray.RedistributeVia(in.proc, src, dst, n.MemElems, redistTag, transform, method)
-}
-
-// readSlab fetches one slab, going through a prefetch-capable reader for
-// Stream-marked sequential scans and falling back to a direct read
-// otherwise.
-func (in *interp) readSlab(n *plan.ReadSlab, arr *oocarray.Array, idx int) (*oocarray.ICLA, error) {
-	if !n.Stream {
-		return arr.ReadSlab(in.slabbings[n.Array], idx)
-	}
-	r := in.readers[n]
-	if idx == 0 {
-		if r == nil {
-			r = arr.NewSlabReader(in.slabbings[n.Array])
-			in.readers[n] = r
-		} else {
-			r.Reset()
-		}
-		in.readerNext[n] = 0
-	}
-	if r == nil || in.readerNext[n] != idx {
-		// The scan hypothesis does not hold at runtime; stay correct
-		// with a direct read.
-		return arr.ReadSlab(in.slabbings[n.Array], idx)
-	}
-	icla, ok, err := r.Next()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("exec: stream reader for %q exhausted at slab %d", n.Array, idx)
-	}
-	in.readerNext[n] = idx + 1
-	return icla, nil
-}
-
-func (in *interp) array(name string) (*oocarray.Array, error) {
-	a, ok := in.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("exec: unknown array %q", name)
-	}
-	return a, nil
-}
-
-func (in *interp) count(c plan.CountExpr) (int, error) {
-	switch {
-	case c.SlabsOf != "":
-		s, ok := in.slabbings[c.SlabsOf]
-		if !ok {
-			return 0, fmt.Errorf("exec: slabs of unknown array %q", c.SlabsOf)
-		}
-		return s.Count, nil
-	case c.ColsOf != "":
-		b, ok := in.bufs[c.ColsOf]
-		if !ok {
-			return 0, fmt.Errorf("exec: cols of unread buffer %q", c.ColsOf)
-		}
-		return b.Cols, nil
-	default:
-		return c.Lit, nil
-	}
-}
-
-func (in *interp) vecRows(n *plan.ZeroVec) (int, error) {
-	if n.RowsLike != "" {
-		b, ok := in.bufs[n.RowsLike]
-		if !ok {
-			return 0, fmt.Errorf("exec: ZeroVec rows-like buffer %q not read yet", n.RowsLike)
-		}
-		return b.Rows, nil
-	}
-	arr, err := in.array(n.RowsOfArray)
-	if err != nil {
-		return 0, err
-	}
-	return arr.LocalRows(), nil
-}
-
-func (in *interp) axpy(n *plan.Axpy) error {
-	vec, ok := in.vecs[n.Vec]
-	if !ok {
-		return fmt.Errorf("exec: Axpy into unallocated vector %q", n.Vec)
-	}
-	a, ok := in.bufs[n.A]
-	if !ok {
-		return fmt.Errorf("exec: Axpy reads unread buffer %q", n.A)
-	}
-	b, ok := in.bufs[n.B]
-	if !ok {
-		return fmt.Errorf("exec: Axpy reads unread buffer %q", n.B)
-	}
-	aCol, ok := in.vars[n.ACol]
-	if !ok {
-		return fmt.Errorf("exec: Axpy column variable %q not live", n.ACol)
-	}
-	bCol, ok := in.vars[n.BCol]
-	if !ok {
-		return fmt.Errorf("exec: Axpy column variable %q not live", n.BCol)
-	}
-	row := 0
-	if n.BRowBase != "" {
-		base, ok := in.vars[n.BRowBase]
-		if !ok {
-			return fmt.Errorf("exec: Axpy row variable %q not live", n.BRowBase)
-		}
-		scale := 1
-		if n.BRowScale != "" {
-			s, ok := in.slabbings[n.BRowScale]
-			if !ok {
-				return fmt.Errorf("exec: Axpy slab width of unknown array %q", n.BRowScale)
-			}
-			scale = s.Width
-		}
-		row = base * scale
-	}
-	if n.BRowPlus != "" {
-		plus, ok := in.vars[n.BRowPlus]
-		if !ok {
-			return fmt.Errorf("exec: Axpy row variable %q not live", n.BRowPlus)
-		}
-		row += plus
-	}
-	if a.Rows != len(vec) {
-		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
-	}
-	if !in.phantom {
-		col := a.Col(aCol)
-		bval := b.At(row, bCol)
-		for i, v := range col {
-			vec[i] += bval * v
-		}
-	}
-	in.proc.Compute(2 * int64(a.Rows))
-	return nil
-}
-
-func (in *interp) sumStore(n *plan.SumStore) error {
-	vec, ok := in.vecs[n.Vec]
-	if !ok {
-		return fmt.Errorf("exec: SumStore of unallocated vector %q", n.Vec)
-	}
-	arr, err := in.array(n.Array)
-	if err != nil {
-		return err
-	}
-	gj := in.counter
-	in.counter++
-	owner := arr.Dist().Dims[1].Owner(gj)
-	mine := owner == in.proc.Rank()
-
-	// The owner positions its (auto) staging slab before the reduction.
-	if mine && in.auto[n.Array] {
-		_, local := arr.Dist().Dims[1].ToLocal(gj)
-		slb := in.slabbings[n.Array]
-		idx := local / slb.Width
-		if idx != in.autoIdx[n.Array] {
-			if err := in.flushStage(n.Array); err != nil {
-				return err
-			}
-			s, err := arr.NewSlab(slb, idx)
-			if err != nil {
-				return err
-			}
-			in.staging[n.Array] = s
-			in.autoIdx[n.Array] = idx
-		}
-	}
-
-	sum := in.proc.Reduce(owner, reduceTag, vec)
-	if !mine {
-		return nil
-	}
-	s := in.staging[n.Array]
-	if s == nil {
-		return fmt.Errorf("exec: SumStore into %q with no staging buffer", n.Array)
-	}
-	_, local := arr.Dist().Dims[1].ToLocal(gj)
-	lj := local - s.ColOff
-	if lj < 0 || lj >= s.Cols {
-		return fmt.Errorf("exec: SumStore column %d outside staging [%d,+%d)", gj, s.ColOff, s.Cols)
-	}
-	if len(sum) != s.Rows {
-		return fmt.Errorf("exec: SumStore length %d vs staging rows %d", len(sum), s.Rows)
-	}
-	copy(s.Col(lj), sum)
-	mp.ReleaseBuf(sum)
-	return nil
-}
-
-func (in *interp) flushStage(name string) error {
-	s := in.staging[name]
-	if s == nil {
-		return nil
-	}
-	arr, err := in.array(name)
-	if err != nil {
-		return err
-	}
-	if w := in.writers[name]; w != nil {
-		if err := w.Write(s); err != nil {
-			return err
-		}
-	} else if err := arr.WriteSection(s); err != nil {
-		return err
-	}
-	in.staging[name] = nil
-	in.recycle(arr, s)
-	return nil
-}
-
-// recycle returns a slab buffer to the arena once no binding references
-// it anymore. Both interpreter tables are small (a handful of named
-// buffers), so the alias scan costs nothing next to the slab I/O it
-// follows.
+// recycle returns a slab buffer to the arena once no slot references it.
+// Both tables are small (a handful of buffers), so the alias scan costs
+// nothing next to the slab I/O it follows.
 func (in *interp) recycle(arr *oocarray.Array, s *oocarray.ICLA) {
 	if s == nil {
 		return
 	}
-	for _, b := range in.bufs {
-		if b == s {
-			return
-		}
+	if slices.Contains(in.bufs, s) {
+		return
 	}
-	for _, b := range in.staging {
-		if b == s {
+	for _, a := range in.tab {
+		if a.staging == s {
 			return
 		}
 	}
 	arr.Recycle(s)
 }
 
-// releaseBufs returns every slab buffer the interpreter still holds —
-// named ICLAs, staging slabs, prefetched-but-undelivered reader slabs —
-// to the arena. It runs on every exit path (success, cancellation,
-// fault abort), so a checked-mode Gets/Puts balance holds across a
-// whole run, not just across the collective layers. Tables can alias
-// one ICLA; the seen set guarantees a single release.
+// releaseBufs returns every slab buffer the executor still holds — slot
+// buffers, staging slabs, prefetched-but-undelivered reader slabs — to
+// the arena. It runs on every exit path (success, cancellation, fault
+// abort), so a checked-mode Gets/Puts balance holds across a whole run,
+// not just across the collective layers. Tables can alias one ICLA; the
+// seen set guarantees a single release.
 func (in *interp) releaseBufs() {
-	seen := make(map[*oocarray.ICLA]bool, len(in.bufs)+len(in.staging))
+	seen := make(map[*oocarray.ICLA]bool, len(in.bufs)+len(in.tab))
 	rel := func(s *oocarray.ICLA) {
 		if s == nil || seen[s] {
 			return
@@ -1103,23 +710,12 @@ func (in *interp) releaseBufs() {
 	for _, s := range in.bufs {
 		rel(s)
 	}
-	for _, s := range in.staging {
-		rel(s)
+	for _, a := range in.tab {
+		rel(a.staging)
 	}
 	for _, r := range in.readers {
-		r.Close()
-	}
-	if b := in.bce; b != nil {
-		for _, s := range b.bufs {
-			rel(s)
-		}
-		for _, s := range b.staging {
-			rel(s)
-		}
-		for _, r := range b.readers {
-			if r != nil {
-				r.Close()
-			}
+		if r != nil {
+			r.Close()
 		}
 	}
 }

@@ -4,54 +4,38 @@ import (
 	"fmt"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
+	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/oocarray"
-	"github.com/ooc-hpf/passion/internal/plan"
 )
 
 // shiftTagBase tags the boundary-column exchange messages.
 const shiftTagBase = 101
 
-// runShiftEwise executes a FORALL with shifted column references: first
-// the boundary-column exchange with the neighboring processors, then a
-// slab sweep with column halos.
-func (in *interp) runShiftEwise(n *plan.ShiftEwise) error {
-	return in.runShiftCore(n.Out, collectShiftInputs(n.Expr, nil),
-		n.Lo, n.Hi, n.GhostLeft, n.GhostRight, n.Expr.Ops(),
-		func(c, rows, localCols, h0 int, halos map[string]*oocarray.ICLA, ghosts map[string][2][]float64) ([]float64, error) {
-			return in.evalShiftColumn(n.Expr, c, rows, localCols, h0, halos, ghosts)
-		})
-}
-
-// shiftEval evaluates the FORALL's expression for one output local
-// column, returning a pooled column the caller copies and releases.
-type shiftEval func(c, rows, localCols, h0 int, halos map[string]*oocarray.ICLA, ghosts map[string][2][]float64) ([]float64, error)
-
-// runShiftCore is the shifted-FORALL engine shared by the tree walk and
-// the bytecode executor: ghost exchange over inputs (in first-use order —
-// the order fixes the message tags), then the slab sweep with column
-// halos, calling eval per in-bounds column. opsPerElem is charged to the
-// compute clock for every evaluated column, phantom or not.
-func (in *interp) runShiftCore(outName string, inputs []string, lo, hi, ghostLeft, ghostRight, opsPerElem int, eval shiftEval) error {
-	out, err := in.array(outName)
-	if err != nil {
-		return err
-	}
+// runShiftCore executes a FORALL with shifted column references
+// (OpShiftEwise): first the boundary-column exchange with the
+// neighboring processors over the expression's inputs, in first-use
+// order (the order fixes the message tags), then a slab sweep with
+// column halos, evaluating the expression per in-bounds column. The
+// per-element operation count is charged to the compute clock for every
+// evaluated column, phantom or not.
+func (in *interp) runShiftCore(ins *bytecode.Instr) error {
+	code := in.bc.Exprs[ins.B]
+	inputs := in.shiftInputs[ins.B]
+	lo, hi, ghostLeft, ghostRight, opsPerElem := int(ins.C), int(ins.D), int(ins.E), int(ins.F), int(ins.G)
+	out := in.tab[ins.A].arr
 	rows := out.LocalRows()
 	localCols := out.LocalCols()
 
-	// Phase 1: ghost exchange. ghosts[name][0] holds the GhostLeft
-	// columns just below this block, ghosts[name][1] the GhostRight
-	// columns just above it (column-major, rows x width).
-	ghosts := make(map[string][2][]float64, len(inputs))
+	// Phase 1: ghost exchange. Per input array-table index, ghosts[a][0]
+	// holds the GhostLeft columns just below this block, ghosts[a][1] the
+	// GhostRight columns just above it (column-major, rows x width).
+	ghosts := make([][2][]float64, len(in.tab))
 	rank, size := in.proc.Rank(), in.proc.Size()
-	for gi, name := range inputs {
-		arr, err := in.array(name)
-		if err != nil {
-			return err
-		}
+	for gi, ai := range inputs {
+		arr := in.tab[ai].arr
 		if arr.LocalCols() != localCols || arr.LocalRows() != rows {
-			return fmt.Errorf("exec: shift input %q shape differs from output", name)
+			return fmt.Errorf("exec: shift input %q shape differs from output", in.bc.Arrays[ai].Name)
 		}
 		tag := shiftTagBase + 2*gi
 		// Send my last ghostLeft columns rightward (they are the right
@@ -80,7 +64,7 @@ func (in *interp) runShiftCore(outName string, inputs []string, lo, hi, ghostLef
 		if ghostRight > 0 && rank < size-1 {
 			g[1] = in.proc.Recv(rank+1, tag+1)
 		}
-		ghosts[name] = g
+		ghosts[ai] = g
 	}
 	defer func() {
 		for _, g := range ghosts {
@@ -90,7 +74,7 @@ func (in *interp) runShiftCore(outName string, inputs []string, lo, hi, ghostLef
 	}()
 
 	// Phase 2: slab sweep with column halos.
-	slb := in.slabbings[outName]
+	slb := in.tab[ins.A].slab
 	colMap := out.Dist().Dims[1]
 	for idx := 0; idx < slb.Count; idx++ {
 		// The output slab's previous contents are the base: columns
@@ -109,24 +93,20 @@ func (in *interp) runShiftCore(outName string, inputs []string, lo, hi, ghostLef
 		if hEnd > localCols {
 			hEnd = localCols
 		}
-		halos := make(map[string]*oocarray.ICLA, len(inputs))
-		for _, name := range inputs {
-			arr, err := in.array(name)
+		halos := make([]*oocarray.ICLA, len(in.tab))
+		for _, ai := range inputs {
+			sec, err := in.tab[ai].arr.ReadSection(0, h0, rows, hEnd-h0)
 			if err != nil {
 				return err
 			}
-			sec, err := arr.ReadSection(0, h0, rows, hEnd-h0)
-			if err != nil {
-				return err
-			}
-			halos[name] = sec
+			halos[ai] = sec
 		}
 		for c := c0; c < c0+width; c++ {
 			k := colMap.ToGlobal(rank, c)
 			if k < lo || k > hi {
 				continue
 			}
-			col, err := eval(c, rows, localCols, h0, halos, ghosts)
+			col, err := in.evalShiftCode(code, c, rows, localCols, h0, halos, ghosts)
 			if err != nil {
 				return err
 			}
@@ -140,107 +120,9 @@ func (in *interp) runShiftCore(outName string, inputs []string, lo, hi, ghostLef
 			return err
 		}
 		out.Recycle(staging)
-		for name, sec := range halos {
-			in.arrays[name].Recycle(sec)
+		for _, ai := range inputs {
+			in.tab[ai].arr.Recycle(halos[ai])
 		}
 	}
 	return nil
-}
-
-// evalShiftColumn evaluates the expression for output local column c.
-func (in *interp) evalShiftColumn(e plan.EExpr, c, rows, localCols, h0 int,
-	halos map[string]*oocarray.ICLA, ghosts map[string][2][]float64) ([]float64, error) {
-	switch e := e.(type) {
-	case *plan.EConst:
-		// Pooled columns are not cleared: in phantom mode the contents are
-		// never read (the staging copy is skipped), and otherwise every
-		// element is written below.
-		col := bufpool.GetF64(rows)
-		if !in.phantom {
-			for i := range col {
-				col[i] = e.V
-			}
-		}
-		return col, nil
-	case *plan.EBufShift:
-		col := bufpool.GetF64(rows)
-		if in.phantom {
-			return col, nil
-		}
-		src := c + e.Shift
-		switch {
-		case src < 0: // left ghost
-			g := ghosts[e.Array][0]
-			off := (len(g)/rows + src) * rows // src in [-L, -1]
-			if off < 0 || off+rows > len(g) {
-				return nil, fmt.Errorf("exec: shift column %d of %q outside the left ghost", src, e.Array)
-			}
-			copy(col, g[off:off+rows])
-		case src >= localCols: // right ghost
-			g := ghosts[e.Array][1]
-			off := (src - localCols) * rows
-			if off < 0 || off+rows > len(g) {
-				return nil, fmt.Errorf("exec: shift column %d of %q outside the right ghost", src, e.Array)
-			}
-			copy(col, g[off:off+rows])
-		default: // local, through the halo section
-			h := halos[e.Array]
-			copy(col, h.Col(src-h0))
-		}
-		return col, nil
-	case *plan.EBin:
-		l, err := in.evalShiftColumn(e.L, c, rows, localCols, h0, halos, ghosts)
-		if err != nil {
-			return nil, err
-		}
-		r, err := in.evalShiftColumn(e.R, c, rows, localCols, h0, halos, ghosts)
-		if err != nil {
-			bufpool.PutF64(l)
-			return nil, err
-		}
-		defer bufpool.PutF64(r)
-		if !in.phantom {
-			switch e.Op {
-			case '+':
-				for i := range l {
-					l[i] += r[i]
-				}
-			case '-':
-				for i := range l {
-					l[i] -= r[i]
-				}
-			case '*':
-				for i := range l {
-					l[i] *= r[i]
-				}
-			case '/':
-				for i := range l {
-					l[i] /= r[i]
-				}
-			default:
-				return nil, fmt.Errorf("exec: unknown operator %q", e.Op)
-			}
-		}
-		return l, nil
-	default:
-		return nil, fmt.Errorf("exec: unsupported expression %T in shifted FORALL", e)
-	}
-}
-
-// collectShiftInputs gathers the distinct arrays referenced by the
-// expression, in first-use order.
-func collectShiftInputs(e plan.EExpr, acc []string) []string {
-	switch e := e.(type) {
-	case *plan.EBufShift:
-		for _, name := range acc {
-			if name == e.Array {
-				return acc
-			}
-		}
-		return append(acc, e.Array)
-	case *plan.EBin:
-		return collectShiftInputs(e.R, collectShiftInputs(e.L, acc))
-	default:
-		return acc
-	}
 }

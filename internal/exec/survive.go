@@ -74,6 +74,10 @@ func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	bc, err := lower(p)
+	if err != nil {
+		return nil, err
+	}
 	if opts.FS == nil {
 		// Recovery spans several runs over one backing store.
 		opts.FS = iosim.NewMemFS()
@@ -93,7 +97,7 @@ func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts
 			opts.Trace.AdoptSink(prev)
 		}
 		rr.Attempts++
-		res, err := run(ctx, p, mach, opts, manifests, respawned)
+		res, err := run(ctx, p, bc, mach, opts, manifests, respawned)
 		if err == nil {
 			rr.Result = res
 			rr.Trace = opts.Trace

@@ -147,10 +147,10 @@ func TestSlowSinkDoesNotPerturbSimulation(t *testing.T) {
 		t.Fatalf("slow sink changed sim_s: %v != %v", got, want)
 	}
 	total := int64(len(tr.Spans()))
-	if sink.emitted+tr.SinkDropped() != total {
-		t.Fatalf("sink saw %d + dropped %d != %d spans emitted", sink.emitted, tr.SinkDropped(), total)
+	if sink.emitted+tr.Dropped() != total {
+		t.Fatalf("sink saw %d + dropped %d != %d spans emitted", sink.emitted, tr.Dropped(), total)
 	}
-	if tr.SinkDropped() == 0 {
+	if tr.Dropped() == 0 {
 		t.Fatal("expected the slow sink to drop spans through a queue of 2")
 	}
 }

@@ -86,10 +86,6 @@ func NewResilientDisk(fs FS, cfg sim.Config, stats *trace.IOStats, res *Resilien
 	return &Disk{fs: fs, cfg: cfg, stats: stats, res: res}
 }
 
-// SetResilience attaches (or, with nil, detaches) the retry/checksum
-// layer.
-func (d *Disk) SetResilience(res *Resilience) { d.res = res }
-
 // Resilience returns the attached retry/checksum layer, which may be nil.
 func (d *Disk) Resilience() *Resilience { return d.res }
 

@@ -197,9 +197,6 @@ type Response struct {
 	// CacheHit reports whether the compiled plan came from the LRU
 	// cache rather than a fresh compilation.
 	CacheHit bool `json:"cache_hit"`
-	// Bytecode reports that the job executed through the compiled
-	// opcode stream rather than the plan-tree walk.
-	Bytecode bool `json:"bytecode,omitempty"`
 	// Attempts and Recoveries are the resilient-run counters (1 and 0
 	// for an undisturbed run).
 	Attempts   int `json:"attempts"`

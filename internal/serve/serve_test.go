@@ -337,19 +337,19 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 func TestCacheEvictsLRU(t *testing.T) {
 	c := newPlanCache(2)
 	compileCalls := 0
-	compile := func() (*compiler.Result, string, []byte, error) {
+	compile := func() (*compiler.Result, string, error) {
 		compileCalls++
-		return &compiler.Result{}, "fp", nil, nil
+		return &compiler.Result{}, "fp", nil
 	}
 	for _, key := range []string{"k1", "k2", "k1", "k3"} { // k3 evicts k2
-		if _, _, _, _, err := c.getOrCompile(key, compile); err != nil {
+		if _, _, _, err := c.getOrCompile(key, compile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, hit, _ := c.getOrCompile("k1", compile); !hit {
+	if _, _, hit, _ := c.getOrCompile("k1", compile); !hit {
 		t.Error("k1 should have survived eviction")
 	}
-	if _, _, _, hit, _ := c.getOrCompile("k2", compile); hit {
+	if _, _, hit, _ := c.getOrCompile("k2", compile); hit {
 		t.Error("k2 should have been evicted as least recently used")
 	}
 	if compileCalls != 4 {
@@ -361,18 +361,18 @@ func TestCacheEvictsLRU(t *testing.T) {
 	var wg sync.WaitGroup
 	var n int64
 	var mu sync.Mutex
-	slow := func() (*compiler.Result, string, []byte, error) {
+	slow := func() (*compiler.Result, string, error) {
 		mu.Lock()
 		n++
 		mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
-		return &compiler.Result{}, "fp", nil, nil
+		return &compiler.Result{}, "fp", nil
 	}
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, _, _, err := c.getOrCompile("shared", slow); err != nil {
+			if _, _, _, err := c.getOrCompile("shared", slow); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -386,26 +386,38 @@ func TestCacheEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestJobsRunThroughBytecode pins the serving dispatch path: every
-// admitted job carries an opcode stream decoded from the cache's encoded
-// form and reports that it executed through it.
+// TestJobsRunThroughBytecode pins the serving dispatch path: the plan
+// cache holds only the compiled plan, a cache hit hands every job the
+// very same *compiler.Result (exec lowers it to its opcode stream per
+// run), and both submissions execute to the same plan identity.
 func TestJobsRunThroughBytecode(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	for i, req := range []Request{
-		{N: 64, Procs: 4, MemElems: 1 << 12},
-		{N: 64, Procs: 4, MemElems: 1 << 12}, // cache hit: decoded again from the entry
-	} {
+	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}
+	var resps [2]*Response
+	for i := range resps {
 		r, err := s.Submit(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r.Bytecode {
-			t.Errorf("submit %d did not execute through the compiled opcode stream", i)
-		}
-		if i == 1 && !r.CacheHit {
-			t.Error("second identical submit should hit the plan cache")
-		}
+		resps[i] = r
+	}
+	if resps[0].CacheHit || !resps[1].CacheHit {
+		t.Errorf("cache hits = %v, %v; want a miss then a hit", resps[0].CacheHit, resps[1].CacheHit)
+	}
+	if resps[0].PlanFingerprint != resps[1].PlanFingerprint {
+		t.Errorf("plan fingerprints differ across a cache hit: %s vs %s", resps[0].PlanFingerprint, resps[1].PlanFingerprint)
+	}
+	j1, err := s.build(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := s.build(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j1.cacheHit || !j2.cacheHit || j1.res != j2.res {
+		t.Errorf("cache hits must reuse the compiled plan: hits %v/%v, same plan %v", j1.cacheHit, j2.cacheHit, j1.res == j2.res)
 	}
 }
 

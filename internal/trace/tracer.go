@@ -159,30 +159,9 @@ type Span struct {
 func (s Span) End() float64 { return s.Start + s.Dur }
 
 // rankBuf is one rank's span storage, appended to only from that rank's
-// goroutine. With a limit it degrades to a ring keeping the newest spans.
+// goroutine.
 type rankBuf struct {
-	limit   int
-	spans   []Span
-	head    int // ring start when full
-	dropped int64
-}
-
-func (b *rankBuf) add(s Span) {
-	if b.limit > 0 && len(b.spans) == b.limit {
-		b.spans[b.head] = s
-		b.head = (b.head + 1) % b.limit
-		b.dropped++
-		return
-	}
-	b.spans = append(b.spans, s)
-}
-
-// unrolled returns the spans in emission order.
-func (b *rankBuf) unrolled() []Span {
-	out := make([]Span, 0, len(b.spans))
-	out = append(out, b.spans[b.head:]...)
-	out = append(out, b.spans[:b.head]...)
-	return out
+	spans []Span
 }
 
 // Tracer records typed spans for every rank of a run against the
@@ -206,15 +185,10 @@ type Tracer struct {
 }
 
 // NewTracer returns an unbounded tracer for procs ranks.
-func NewTracer(procs int) *Tracer { return NewTracerLimit(procs, 0) }
-
-// NewTracerLimit bounds each rank's storage to maxPerRank spans, kept as
-// a ring of the newest ones (Dropped reports the overwritten count).
-// maxPerRank <= 0 means unbounded.
-func NewTracerLimit(procs, maxPerRank int) *Tracer {
+func NewTracer(procs int) *Tracer {
 	t := &Tracer{ranks: make([]*rankBuf, procs)}
 	for i := range t.ranks {
-		t.ranks[i] = &rankBuf{limit: maxPerRank}
+		t.ranks[i] = &rankBuf{}
 	}
 	return t
 }
@@ -243,7 +217,7 @@ func (t *Tracer) Rank(r int) *RankTracer {
 // goroutine. queue bounds the hand-off buffer between the emitting
 // ranks and the pump (default 4096 spans); when it is full the span is
 // dropped from the stream — never blocking the emitting rank or the
-// simulated clock — and counted in Dropped and SinkDropped. Call before
+// simulated clock — and counted in Dropped. Call before
 // the run starts (before Rank handles are created) and pair with
 // CloseSink after the run's goroutines have finished. A nil Tracer or
 // nil sink is a no-op.
@@ -321,23 +295,10 @@ func (t *Tracer) CloseSink() error {
 	return sk.err
 }
 
-// Dropped returns how many spans were lost across all ranks: buffer
-// ring overwrites plus stream hand-off drops (SinkDropped). A nonzero
-// count voids the exactness of both the buffered export and the stream.
+// Dropped returns how many spans the streaming hand-off rejected because
+// the sink could not keep up (zero without a sink). The buffered spans
+// are never dropped; a nonzero count voids the exactness of the stream.
 func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	var n int64
-	for _, b := range t.ranks {
-		n += b.dropped
-	}
-	return n + t.SinkDropped()
-}
-
-// SinkDropped returns how many spans the streaming hand-off rejected
-// because the sink could not keep up (zero without a sink).
-func (t *Tracer) SinkDropped() int64 {
 	if t == nil || t.sk == nil {
 		return 0
 	}
@@ -352,7 +313,7 @@ func (t *Tracer) RankSpans(r int) []Span {
 	if t == nil || r < 0 || r >= len(t.ranks) {
 		return nil
 	}
-	out := t.ranks[r].unrolled()
+	out := append([]Span(nil), t.ranks[r].spans...)
 	t.mu.Lock()
 	for _, s := range t.cross {
 		if s.Rank == r {
@@ -397,7 +358,7 @@ func (rt *RankTracer) Emit(s Span) {
 		return
 	}
 	s.Rank = rt.rank
-	rt.buf.add(s)
+	rt.buf.spans = append(rt.buf.spans, s)
 	if rt.sk != nil {
 		rt.sk.offer(s)
 	}

@@ -42,26 +42,6 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 }
 
-func TestTracerRing(t *testing.T) {
-	tr := NewTracerLimit(1, 3)
-	rt := tr.Rank(0)
-	for i := 0; i < 5; i++ {
-		rt.Emit(Span{Kind: KindCompute, Start: float64(i), Dur: 1})
-	}
-	spans := tr.RankSpans(0)
-	if len(spans) != 3 {
-		t.Fatalf("ring kept %d spans, want 3", len(spans))
-	}
-	for i, s := range spans {
-		if s.Start != float64(i+2) {
-			t.Errorf("ring span %d starts at %g, want %g (newest kept, order preserved)", i, s.Start, float64(i+2))
-		}
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", tr.Dropped())
-	}
-}
-
 func TestTracerCross(t *testing.T) {
 	tr := NewTracer(2)
 	tr.Rank(0).Cross(1, Span{Kind: KindRecoveryComm, N: 3, Bytes: 64})

@@ -3,7 +3,6 @@ package wallbench
 import (
 	"fmt"
 
-	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/collio"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -24,47 +23,31 @@ import (
 var Kernels = []Kernel{
 	{Name: "sendrecv", Make: mkSendRecv},
 	{Name: "gaxpy", Make: mkGaxpy},
-	{Name: "gaxpy-plan", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, false)},
-	{Name: "gaxpy-plan-bc", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, true)},
-	{Name: "transpose", Make: mkTranspose},
-	{Name: "transpose-bc", Make: mkPlan(hpf.TransposeSource, transposePlanOpts, true)},
+	// The compiled-program kernels run in phantom mode: the dispatch
+	// loop, message traffic and slab bookkeeping with disk payloads and
+	// arithmetic elided. gaxpy-plan is the compiled counterpart of the
+	// hand-coded gaxpy; transpose goes through two-phase collective I/O
+	// (the shuffle's message traffic and the collio staging machinery);
+	// ewise exercises the ghost-exchange Send/Recv path.
+	{Name: "gaxpy-plan", Make: mkPlan(hpf.GaxpySource, compiler.Options{N: 128, Procs: 4, MemElems: 16 * 128})},
+	{Name: "transpose", Make: mkPlan(hpf.TransposeSource, compiler.Options{N: 256, Procs: 4, MemElems: 16 * 256, Force: "two-phase"})},
 	{Name: "redistribute", Make: mkRedistribute},
 	{Name: "parity-diskloss", Make: mkParityDiskLoss},
-	{Name: "ewise", Make: mkEwise},
-	{Name: "ewise-bc", Make: mkPlan(hpf.EwiseSource, ewisePlanOpts, true)},
+	{Name: "ewise", Make: mkPlan(hpf.EwiseSource, compiler.Options{N: 256, Procs: 4, MemElems: 8 * 256})},
 }
 
-// Compile options of the dispatch-comparison pairs. Each *-bc kernel runs
-// the identical compiled program and options as its tree-walk partner, so
-// the ns/op delta is purely the interpreter dispatch cost and sim_s must
-// agree to the digit between the two.
-var (
-	gaxpyPlanOpts     = compiler.Options{N: 128, Procs: 4, MemElems: 16 * 128}
-	transposePlanOpts = compiler.Options{N: 256, Procs: 4, MemElems: 16 * 256, Force: "two-phase"}
-	ewisePlanOpts     = compiler.Options{N: 256, Procs: 4, MemElems: 8 * 256}
-)
-
-// mkPlan builds a compiled-program kernel in phantom mode, executed
-// through the selected dispatch engine: the plan-tree walk (bc=false) or
-// the lowered opcode stream (bc=true). Lowering happens in setup, outside
-// the timed region — matching a serving system that compiles once and
-// dispatches many runs.
-func mkPlan(src string, copts compiler.Options, bc bool) func() (func() (float64, error), error) {
+// mkPlan builds a compiled-program kernel in phantom mode. Compilation
+// happens in setup, outside the timed region — matching a serving system
+// that compiles once and runs many times; each timed run pays exec's
+// lowering to the opcode stream.
+func mkPlan(src string, copts compiler.Options) func() (func() (float64, error), error) {
 	return func() (func() (float64, error), error) {
 		res, err := compiler.CompileSource(src, copts)
 		if err != nil {
 			return nil, err
 		}
-		var prog *bytecode.Program
-		if bc {
-			if prog, err = bytecode.Compile(res.Program); err != nil {
-				return nil, err
-			}
-		}
 		op := func() (float64, error) {
-			out, err := exec.Run(res.Program, sim.Delta(copts.Procs), exec.Options{
-				Phantom: true, Bytecode: prog,
-			})
+			out, err := exec.Run(res.Program, sim.Delta(copts.Procs), exec.Options{Phantom: true})
 			if err != nil {
 				return 0, err
 			}
@@ -120,27 +103,6 @@ func mkGaxpy() (func() (float64, error), error) {
 			return 0, err
 		}
 		return r.Stats.ElapsedSeconds(), nil
-	}
-	return op, nil
-}
-
-// mkTranspose measures the compiled out-of-core transpose over two-phase
-// collective I/O in phantom mode: the shuffle's message traffic and the
-// collio staging machinery, with disk payloads elided.
-func mkTranspose() (func() (float64, error), error) {
-	const n, procs = 256, 4
-	res, err := compiler.CompileSource(hpf.TransposeSource, compiler.Options{
-		N: n, Procs: procs, MemElems: 16 * n, Force: "two-phase",
-	})
-	if err != nil {
-		return nil, err
-	}
-	op := func() (float64, error) {
-		out, err := exec.Run(res.Program, sim.Delta(procs), exec.Options{Phantom: true})
-		if err != nil {
-			return 0, err
-		}
-		return out.Stats.ElapsedSeconds(), nil
 	}
 	return op, nil
 }
@@ -227,26 +189,6 @@ func mkParityDiskLoss() (func() (float64, error), error) {
 		sec := out.Stats.ElapsedSeconds()
 		out.Close()
 		return sec, nil
-	}
-	return op, nil
-}
-
-// mkEwise measures the compiled elementwise pattern in phantom mode: the
-// ghost-exchange Send/Recv path plus the slab pipeline bookkeeping.
-func mkEwise() (func() (float64, error), error) {
-	const n, procs = 256, 4
-	res, err := compiler.CompileSource(hpf.EwiseSource, compiler.Options{
-		N: n, Procs: procs, MemElems: 8 * n,
-	})
-	if err != nil {
-		return nil, err
-	}
-	op := func() (float64, error) {
-		out, err := exec.Run(res.Program, sim.Delta(procs), exec.Options{Phantom: true})
-		if err != nil {
-			return 0, err
-		}
-		return out.Stats.ElapsedSeconds(), nil
 	}
 	return op, nil
 }

@@ -3,8 +3,9 @@
 // to bench_test.go, which reports the simulated seconds the paper's
 // tables care about. Each kernel is a small, deterministic end-to-end
 // run pinned to a fixed scale; the harness times it with
-// testing.Benchmark and records ns/op, B/op, allocs/op and the simulated
-// seconds (which must never change when the host-side code gets faster).
+// testing.Benchmark, counts B/op and allocs/op over a fixed number of
+// runs with the collector paused, and records the simulated seconds
+// (which must never change when the host-side code gets faster).
 //
 // cmd/ooc-bench -wallclock runs the suite, writes BENCH_wallclock.json,
 // and — given a committed baseline — gates regressions: ns/op within a
@@ -16,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -59,31 +62,64 @@ func RunKernel(k Kernel) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("wallbench: %s: %w", k.Name, err)
 	}
+	checked := func() error {
+		s, err := op()
+		if err != nil {
+			return err
+		}
+		if s != simS {
+			return fmt.Errorf("simulated seconds changed between runs: %v then %v", simS, s)
+		}
+		return nil
+	}
 	var opErr error
 	br := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s, err := op()
-			if err != nil {
-				opErr = err
-				return
-			}
-			if s != simS {
-				opErr = fmt.Errorf("simulated seconds changed between runs: %v then %v", simS, s)
-				return
-			}
+		for i := 0; i < b.N && opErr == nil; i++ {
+			opErr = checked()
 		}
 	})
 	if opErr != nil {
 		return Result{}, fmt.Errorf("wallbench: %s: %w", k.Name, opErr)
 	}
+	allocs, bytes, err := countAllocs(checked)
+	if err != nil {
+		return Result{}, fmt.Errorf("wallbench: %s: %w", k.Name, err)
+	}
 	return Result{
 		Name:        k.Name,
 		NsPerOp:     float64(br.NsPerOp()),
-		BytesPerOp:  br.AllocedBytesPerOp(),
-		AllocsPerOp: br.AllocsPerOp(),
+		BytesPerOp:  bytes,
+		AllocsPerOp: allocs,
 		SimS:        simS,
 	}, nil
+}
+
+// allocOps is the fixed number of runs heap traffic is averaged over.
+const allocOps = 16
+
+// countAllocs returns the mean heap allocations and bytes per run over
+// allocOps runs. The collector is paused for the count: a GC cycle
+// empties internal/bufpool's sync.Pool overflow, so a cycle landing
+// inside the window would turn pooled buffers into fresh allocations and
+// make the count depend on GC timing. One warm-up run after a forced
+// collection refills the pool, so every counted run starts from the
+// state the previous one left.
+func countAllocs(op func() error) (allocs, bytes int64, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := op(); err != nil {
+		return 0, 0, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocOps; i++ {
+		if err := op(); err != nil {
+			return 0, 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.Mallocs-before.Mallocs) / allocOps, int64(after.TotalAlloc-before.TotalAlloc) / allocOps, nil
 }
 
 // RunSuite runs the given kernels (all registered kernels when names is
