@@ -72,8 +72,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		swap := func(gi, gj int) (int, int) { return gj, gi }
-		if err := oocarray.RedistributeMapped(p, src, transposed, slabMem, 32, swap); err != nil {
+		if err := oocarray.RedistributeMapped(p, src, transposed, slabMem, 32, true); err != nil {
 			return err
 		}
 		t, err := transposed.ReadLocal()

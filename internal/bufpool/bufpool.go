@@ -1,9 +1,9 @@
 // Package bufpool is the size-classed buffer arena behind the
 // simulator's hot paths: message payloads (internal/mp), slab staging
-// (internal/iosim, internal/oocarray), shuffle assembly
-// (internal/collio) and parity scratch (internal/parity). The paper's
-// data-movement discipline — reuse large buffers instead of re-creating
-// them per transfer — applied to the host heap.
+// (internal/iosim, internal/oocarray), shuffle assembly and routing
+// tables (internal/collio) and parity scratch (internal/parity). The
+// paper's data-movement discipline — reuse large buffers instead of
+// re-creating them per transfer — applied to the host heap.
 //
 // Buffers live in power-of-two size classes (64 elements up). Each class
 // keeps a small bounded free list under a mutex — the steady-state path,
@@ -134,6 +134,7 @@ type arena[T any] struct {
 var (
 	f64Arena  arena[float64]
 	byteArena arena[byte]
+	intArena  arena[int]
 )
 
 // f64Poison is a quiet NaN with a recognizable payload, so a
@@ -144,6 +145,10 @@ var f64Poison = func() float64 {
 }()
 
 const bytePoison byte = 0xDB
+
+// intPoison makes a released index table fail loudly: used as a slice
+// index or a rank it is out of range.
+const intPoison = -0xDEADBEEF
 
 func (a *arena[T]) get(n int) []T {
 	atomic.AddInt64(&stats.Gets, 1)
@@ -248,3 +253,9 @@ func GetBytes(n int) []byte { return byteArena.get(n) }
 
 // PutBytes returns a buffer vended by GetBytes to the arena.
 func PutBytes(b []byte) { byteArena.put(b, bytePoison) }
+
+// GetInts returns an int buffer of length n with arbitrary contents.
+func GetInts(n int) []int { return intArena.get(n) }
+
+// PutInts returns a buffer vended by GetInts to the arena.
+func PutInts(b []int) { intArena.put(b, intPoison) }

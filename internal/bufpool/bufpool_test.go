@@ -50,6 +50,13 @@ func TestGetLenCapAndRoundTrip(t *testing.T) {
 		}
 		PutBytes(b)
 	}
+	for _, n := range []int{0, 1, 100, 4096} {
+		b := GetInts(n)
+		if len(b) != n {
+			t.Fatalf("GetInts(%d): len %d", n, len(b))
+		}
+		PutInts(b)
+	}
 }
 
 func TestReuseSameClass(t *testing.T) {
@@ -88,6 +95,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	// Prime the class so the measured loop only recycles.
 	PutF64(GetF64(1024))
 	PutBytes(GetBytes(1024))
+	PutInts(GetInts(1024))
 	if n := testing.AllocsPerRun(100, func() {
 		b := GetF64(1000)
 		b[0] = 1
@@ -95,6 +103,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		c := GetBytes(1000)
 		c[0] = 1
 		PutBytes(c)
+		d := GetInts(1000)
+		d[0] = 1
+		PutInts(d)
 	}); n != 0 {
 		t.Errorf("steady-state Get/Put: %v allocs/run, want 0", n)
 	}
@@ -133,6 +144,14 @@ func TestCheckedPoisonsReleasedBuffer(t *testing.T) {
 	for i, v := range alias2 {
 		if v != bytePoison {
 			t.Fatalf("released byte buffer element %d = %#x, want %#x", i, v, bytePoison)
+		}
+	}
+	d := GetInts(64)
+	alias3 := d
+	PutInts(d)
+	for i, v := range alias3 {
+		if v != intPoison {
+			t.Fatalf("released int buffer element %d = %d, want %d", i, v, intPoison)
 		}
 	}
 }

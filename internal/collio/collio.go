@@ -95,13 +95,6 @@ func (s Side) charge(kind string, seconds float64) {
 	}
 }
 
-// globalIndex translates a local (row, col) index to global indices.
-func (s Side) globalIndex(li, lj int) (gi, gj int) {
-	gi = s.Map.Dims[0].ToGlobal(s.Map.ProcCoord(s.Rank, 0), li)
-	gj = s.Map.Dims[1].ToGlobal(s.Map.ProcCoord(s.Rank, 1), lj)
-	return gi, gj
-}
-
 // SrcSlabWidth returns the conforming-partition slab width in columns for
 // phase 1: each round reads one contiguous run of full local columns,
 // sized to half the memory budget (the other half is left for staging
@@ -138,36 +131,114 @@ type pair struct {
 	val float64
 }
 
+// router maps this rank's source elements to their destination owner
+// and linear index through per-axis tables built once per call, so the
+// shuffle's inner loop is table loads instead of per-element index
+// translation. Source element (li, lj) lands on destination owner
+// rowRank[li]+colRank[lj] (the two tables hold each axis's share of the
+// linearized grid rank); its destination local row and column are
+// rowLoc[li] and colLoc[lj], or the other way round under transpose.
+type router struct {
+	rowRank, rowLoc []int // per source local row
+	colRank, colLoc []int // per source local column
+	rowsOf          []int // destination local row count per rank
+	transpose       bool
+	arena           []int // backing store of the tables above
+}
+
+// newRouter builds the tables for one rank's source side. Under
+// transpose, global element (gi, gj) of src lands at (gj, gi) of dst, so
+// the source rows index the destination's column axis and vice versa.
+func newRouter(src, dst Side, size int, transpose bool) router {
+	r := router{transpose: transpose}
+	r.arena = bufpool.GetInts(2*src.Rows + 2*src.Cols + size)
+	t := r.arena
+	r.rowRank, r.rowLoc, t = t[:src.Rows], t[src.Rows:2*src.Rows], t[2*src.Rows:]
+	r.colRank, r.colLoc, t = t[:src.Cols], t[src.Cols:2*src.Cols], t[2*src.Cols:]
+	r.rowsOf = t[:size]
+	rowDim, colDim := 0, 1
+	if transpose {
+		rowDim, colDim = 1, 0
+	}
+	fillAxis(r.rowRank, r.rowLoc, src, 0, dst.Map, rowDim)
+	fillAxis(r.colRank, r.colLoc, src, 1, dst.Map, colDim)
+	for q := range r.rowsOf {
+		// Destination linear indices use the owner's local row count,
+		// which under ragged block sizes differs between ranks.
+		r.rowsOf[q] = dst.Map.Dims[0].LocalCount(dst.Map.ProcCoord(q, 0))
+	}
+	return r
+}
+
+// fillAxis routes every local index of the source side's dimension sdim
+// to dimension ddim of the destination mapping: the owner coordinate
+// weighted by its share of the linearized rank, and the local index.
+func fillAxis(rank, loc []int, src Side, sdim int, dm *dist.Array, ddim int) {
+	sm, coord := src.Map.Dims[sdim], src.Map.ProcCoord(src.Rank, sdim)
+	dmap, stride := dm.Dims[ddim], dm.OwnerStride(ddim)
+	for l := range loc {
+		owner, local := dmap.ToLocal(sm.ToGlobal(coord, l))
+		rank[l], loc[l] = owner*stride, local
+	}
+}
+
+// route appends one slab of source columns [c0, c0+cw), held in data
+// column-major, to the per-owner payloads as (destination linear index,
+// value) pairs, in column-major source order.
+func (r *router) route(parts [][]float64, data []float64, c0, cw int) {
+	rows := len(r.rowRank)
+	for lj := 0; lj < cw; lj++ {
+		col := data[lj*rows : (lj+1)*rows]
+		rowRank, rowLoc := r.rowRank[:len(col)], r.rowLoc[:len(col)]
+		cRank, cLoc := r.colRank[c0+lj], r.colLoc[c0+lj]
+		if r.transpose {
+			for li, v := range col {
+				owner := rowRank[li] + cRank
+				lin := rowLoc[li]*r.rowsOf[owner] + cLoc
+				parts[owner] = append(parts[owner], float64(lin), v)
+			}
+			continue
+		}
+		for li, v := range col {
+			owner := rowRank[li] + cRank
+			lin := cLoc*r.rowsOf[owner] + rowLoc[li]
+			parts[owner] = append(parts[owner], float64(lin), v)
+		}
+	}
+}
+
+func (r *router) release() { bufpool.PutInts(r.arena) }
+
 // Redistribute copies the distributed array described by src into the one
-// described by dst, applying transform to every global index pair (nil
-// means the identity, in which case the global shapes must agree). All
-// ranks must call it collectively with the same memElems, tag, transform
-// semantics and method.
+// described by dst. Global element (gi, gj) of src lands at (gi, gj) of
+// dst, or at (gj, gi) when transpose is set; the global shapes must agree
+// accordingly. All ranks must call it collectively with the same
+// memElems, tag, transpose and method.
 //
 // Phase 1 is the same for every method: each rank reads its LAF in
 // conforming column slabs — one contiguous request per round — and
 // routes each element to its destination owner through mp.AllToAll as
 // (linear index, value) pairs. The method only decides how the receiving
 // rank applies the incoming pairs to its own LAF.
-func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(gi, gj int) (di, dj int), method Method) error {
+func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transpose bool, method Method) error {
 	if src.Rank != p.Rank() || dst.Rank != p.Rank() {
 		return fmt.Errorf("collio: redistribute on rank %d given sides of ranks %d and %d",
 			p.Rank(), src.Rank, dst.Rank)
 	}
-	if transform == nil {
-		ss, ds := src.Map.GlobalShape(), dst.Map.GlobalShape()
-		if len(ss) != 2 || len(ds) != 2 || ss[0] != ds[0] || ss[1] != ds[1] {
-			return fmt.Errorf("collio: redistribute between different global shapes %v and %v", ss, ds)
-		}
-		transform = func(gi, gj int) (int, int) { return gi, gj }
+	sd, dd := src.Map.Dims, dst.Map.Dims
+	if len(sd) != 2 || len(dd) != 2 {
+		return fmt.Errorf("collio: redistribute needs 2-D arrays, got shapes %v and %v",
+			src.Map.GlobalShape(), dst.Map.GlobalShape())
+	}
+	rowsTo, colsTo := dd[0].Extent, dd[1].Extent
+	if transpose {
+		rowsTo, colsTo = colsTo, rowsTo
+	}
+	if sd[0].Extent != rowsTo || sd[1].Extent != colsTo {
+		return fmt.Errorf("collio: redistribute (transpose %v) between incompatible global shapes %v and %v",
+			transpose, src.Map.GlobalShape(), dst.Map.GlobalShape())
 	}
 	size := p.Size()
-	// Destination linear indices use the owner's local row count, which
-	// under ragged block sizes differs between ranks.
-	dstRowsOf := make([]int, size)
-	for q := 0; q < size; q++ {
-		dstRowsOf[q] = dst.Map.LocalShape(q)[0]
-	}
 
 	w := SrcSlabWidth(memElems, src.Rows, src.Cols)
 	myRounds := 0
@@ -185,6 +256,8 @@ func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 		return err
 	}
 	defer recv.cleanup()
+	rt := newRouter(src, dst, size, transpose)
+	defer rt.release()
 
 	// phase brackets each stage of a round with an overlay span, so the
 	// exported timeline shows where a redistribution's time goes without
@@ -228,15 +301,7 @@ func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 				return err
 			}
 			src.charge("io-read", sec)
-			for lj := 0; lj < cw; lj++ {
-				for li := 0; li < src.Rows; li++ {
-					gi, gj := src.globalIndex(li, c0+lj)
-					di, dj := transform(gi, gj)
-					owner, lli, llj := dst.Map.ToLocal2(di, dj)
-					lin := llj*dstRowsOf[owner] + lli
-					parts[owner] = append(parts[owner], float64(lin), data[lj*src.Rows+li])
-				}
-			}
+			rt.route(parts, data, c0, cw)
 		}
 		phase("collio:read", t0)
 		t1 := clock.Seconds()
@@ -439,7 +504,7 @@ func (r *twoPhaseReceiver) absorb(pairs []pair) error {
 			continue
 		}
 		if r.spilled[wdx]+int64(len(fl)) > 2*int64(r.elems[wdx]) {
-			return fmt.Errorf("collio: window %d received more elements than it holds (non-injective transform?)", wdx)
+			return fmt.Errorf("collio: window %d received more elements than it holds (replicated source?)", wdx)
 		}
 		sec, err := r.scratch.WriteChunks([]iosim.Chunk{{Off: r.off[wdx] + r.spilled[wdx], Len: len(fl)}}, fl)
 		if err != nil {

@@ -14,6 +14,14 @@ import (
 
 func valueAt(gi, gj int) float64 { return float64(gi*1000 + gj + 1) }
 
+// globalIndex translates a side's local (row, col) index to global
+// indices, one element at a time.
+func (s Side) globalIndex(li, lj int) (gi, gj int) {
+	gi = s.Map.Dims[0].ToGlobal(s.Map.ProcCoord(s.Rank, 0), li)
+	gj = s.Map.Dims[1].ToGlobal(s.Map.ProcCoord(s.Rank, 1), lj)
+	return gi, gj
+}
+
 // sideFor builds the collective Side of one rank's local array file,
 // creating and filling the LAF from the global fill function.
 func sideFor(t *testing.T, disk *iosim.Disk, dm *dist.Array, rank int, fill func(gi, gj int) float64) Side {
@@ -63,14 +71,14 @@ func checkSide(s Side, want func(gi, gj int) float64) error {
 
 // redistCase is one distribution scenario of the method-equivalence
 // property: all three write strategies must land every element exactly
-// where the destination mapping (after transform) says.
+// where the destination mapping (after an optional transpose) says.
 type redistCase struct {
 	name      string
 	n, p      int
 	memElems  int
 	mkSrc     func(n, p int) (*dist.Array, error)
 	mkDst     func(n, p int) (*dist.Array, error)
-	transform func(gi, gj int) (int, int)
+	transpose bool
 	wantAt    func(gi, gj int) float64
 }
 
@@ -102,7 +110,7 @@ func redistCases() []redistCase {
 			name: "ragged-transpose", n: 9, p: 4, memElems: 18,
 			mkSrc:     colBlock("src"),
 			mkDst:     colBlock("dst"),
-			transform: func(gi, gj int) (int, int) { return gj, gi },
+			transpose: true,
 			wantAt:    func(gi, gj int) float64 { return valueAt(gj, gi) },
 		},
 		{
@@ -126,7 +134,7 @@ func redistCases() []redistCase {
 			name: "tiny-memory-spill", n: 10, p: 4, memElems: 1,
 			mkSrc:     colBlock("src"),
 			mkDst:     colBlock("dst"),
-			transform: func(gi, gj int) (int, int) { return gj, gi },
+			transpose: true,
 			wantAt:    func(gi, gj int) float64 { return valueAt(gj, gi) },
 		},
 	}
@@ -154,7 +162,7 @@ func runCase(t *testing.T, tc redistCase, method Method, chaos bool) {
 		}
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
-		if err := Redistribute(proc, src, dst, tc.memElems, 30, tc.transform, method); err != nil {
+		if err := Redistribute(proc, src, dst, tc.memElems, 30, tc.transpose, method); err != nil {
 			return err
 		}
 		return checkSide(dst, tc.wantAt)
@@ -208,8 +216,7 @@ func TestTwoPhaseScratchCleanup(t *testing.T) {
 		}
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
-		swap := func(gi, gj int) (int, int) { return gj, gi }
-		return Redistribute(proc, src, dst, 1, 31, swap, TwoPhase)
+		return Redistribute(proc, src, dst, 1, 31, true, TwoPhase)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +330,7 @@ func TestRedistributeRankMismatch(t *testing.T) {
 		s := sideFor(t, disk, dm, proc.Rank(), valueAt)
 		wrong := s
 		wrong.Rank = (proc.Rank() + 1) % 2
-		if err := Redistribute(proc, wrong, s, 8, 32, nil, Direct); err == nil {
+		if err := Redistribute(proc, wrong, s, 8, 32, false, Direct); err == nil {
 			return fmt.Errorf("rank mismatch not detected")
 		}
 		return nil
@@ -361,7 +368,7 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 		}
 		src := sideFor(t, disk, dm, 0, valueAt)
 		dst := sideFor(t, disk, dm, 0, nil)
-		rerr := Redistribute(proc, src, dst, 16, tag, nil, Direct)
+		rerr := Redistribute(proc, src, dst, 16, tag, false, Direct)
 		if rerr == nil || !strings.Contains(rerr.Error(), "index/value pairs") {
 			return fmt.Errorf("want malformed-payload failure, got %v", rerr)
 		}

@@ -377,46 +377,6 @@ func (a *Array) Owner(idx ...int) int {
 	return a.Dims[d].Owner(idx[d])
 }
 
-// ToLocal2 is ToLocal for two-dimensional arrays without the slice
-// traffic: it returns the owner rank and both local indices as scalars.
-// Redistribution visits every element through it.
-func (a *Array) ToLocal2(i, j int) (proc, li, lj int) {
-	if len(a.Dims) != 2 {
-		panic(fmt.Sprintf("dist: ToLocal2 on %q wants a 2-D array, got %d dims", a.Name, len(a.Dims)))
-	}
-	_, li = a.Dims[0].ToLocal(i)
-	_, lj = a.Dims[1].ToLocal(j)
-	return a.Owner2(i, j), li, lj
-}
-
-// Owner2 is Owner for two-dimensional arrays without the variadic and
-// coordinate-vector allocations.
-func (a *Array) Owner2(i, j int) int {
-	if len(a.Dims) != 2 {
-		panic(fmt.Sprintf("dist: Owner2 on %q wants a 2-D array, got %d dims", a.Name, len(a.Dims)))
-	}
-	if a.Grid != nil {
-		// Linearize the owner coordinates exactly as Grid.Rank does:
-		// distributed dims take the grid axes in order.
-		r, axis := 0, 0
-		if a.Dims[0].Scheme != Collapsed {
-			r = r*a.Grid[axis] + a.Dims[0].Owner(i)
-			axis++
-		}
-		if a.Dims[1].Scheme != Collapsed {
-			r = r*a.Grid[axis] + a.Dims[1].Owner(j)
-		}
-		return r
-	}
-	if a.Dims[0].Scheme != Collapsed {
-		return a.Dims[0].Owner(i)
-	}
-	if a.Dims[1].Scheme != Collapsed {
-		return a.Dims[1].Owner(j)
-	}
-	return 0
-}
-
 // ToLocal translates a global index vector to the local index vector on
 // the owning processor, returning (owner, local indices).
 func (a *Array) ToLocal(idx ...int) (proc int, local []int) {

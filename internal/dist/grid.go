@@ -124,6 +124,26 @@ func (a *Array) ProcCoord(rank, dim int) int {
 	return Grid{Shape: a.Grid}.Coord(rank, axis)
 }
 
+// OwnerStride returns the weight of dimension dim's owner coordinate in
+// the linearized owner rank, so that Owner(idx...) is the sum over the
+// dimensions of Dims[d].Owner(idx[d]) * OwnerStride(d): the product of
+// the later grid axes on an explicit grid (Grid.Rank is row-major), 1 for
+// the distributed dimension of the 1-D arrangement, and 0 for a collapsed
+// dimension.
+func (a *Array) OwnerStride(dim int) int {
+	axis := a.axisOfDim(dim)
+	if axis < 0 {
+		return 0
+	}
+	stride := 1
+	if a.Grid != nil {
+		for _, s := range a.Grid[axis+1:] {
+			stride *= s
+		}
+	}
+	return stride
+}
+
 // axisOfDim returns the grid axis of one array dimension, preferring the
 // table Validate cached; arrays built as raw literals (tests) fall back
 // to recomputing it.

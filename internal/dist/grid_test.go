@@ -159,3 +159,34 @@ func TestProcCoordOneDimensional(t *testing.T) {
 		t.Errorf("collapsed coord = %d, want 0", a.ProcCoord(3, 0))
 	}
 }
+
+// TestOwnerStrideSumsToOwner pins OwnerStride against Owner: the owner
+// rank is the stride-weighted sum of the per-dimension owners, on 2-D
+// and 1-D grids and the plain 1-D arrangement (collapsed dims weigh 0).
+func TestOwnerStrideSumsToOwner(t *testing.T) {
+	mk := func(a *Array, err error) *Array {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	arrays := []*Array{
+		mk(NewGridArray("g23", NewGrid(2, 3), NewBlock(10, 2), NewCyclic(7, 3))),
+		mk(NewGridArray("g1", NewGrid(3), NewCollapsed(5), NewBlockCyclic(9, 3, 2))),
+		mk(NewArray("rows", NewBlock(9, 4), NewCollapsed(6))),
+		mk(NewArray("cols", NewCollapsed(6), NewCyclic(9, 4))),
+		mk(NewArray("none", NewCollapsed(3), NewCollapsed(4))),
+	}
+	for _, a := range arrays {
+		shape := a.GlobalShape()
+		for i := 0; i < shape[0]; i++ {
+			for j := 0; j < shape[1]; j++ {
+				got := a.Dims[0].Owner(i)*a.OwnerStride(0) + a.Dims[1].Owner(j)*a.OwnerStride(1)
+				if want := a.Owner(i, j); got != want {
+					t.Fatalf("%s (%d,%d): stride-weighted owner %d, Owner %d", a.Name, i, j, got, want)
+				}
+			}
+		}
+	}
+}

@@ -332,14 +332,33 @@ func (in *interp) axpy(ins *bytecode.Instr) error {
 		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
 	}
 	if !in.phantom {
-		col := a.Col(in.vars[ins.C])
-		bval := bb.At(row, in.vars[ins.H])
-		for i, v := range col {
-			vec[i] += bval * v
-		}
+		axpyCol(vec, a.Col(in.vars[ins.C]), bb.At(row, in.vars[ins.H]))
 	}
 	in.proc.Compute(2 * int64(a.Rows))
 	return nil
+}
+
+// axpyCol adds a*x to y: y[i] += a*x[i], one multiply and one add per
+// element in index order, so results are bitwise those of the plain
+// loop. It is a leaf of its own, unrolled 4 ways with its bounds checks
+// proved away, because the plain loop's speed depended on where the
+// linker happened to place it (DESIGN §11). Kept out of line so that
+// placement is its own symbol, visible to go tool nm.
+//
+//go:noinline
+func axpyCol(y, x []float64, a float64) {
+	y = y[:len(x)]
+	// len(y) == len(x) throughout; testing both proves the indices.
+	for len(x) >= 4 && len(y) >= 4 {
+		y[0] += a * x[0]
+		y[1] += a * x[1]
+		y[2] += a * x[2]
+		y[3] += a * x[3]
+		x, y = x[4:], y[4:]
+	}
+	for i, v := range x {
+		y[i] += a * v
+	}
 }
 
 func (in *interp) sumStore(ins *bytecode.Instr) error {
@@ -576,9 +595,5 @@ func (in *interp) evalShiftCode(code []bytecode.ExprInstr, c, rows, localCols, h
 func (in *interp) allToAll(ins *bytecode.Instr) error {
 	src := in.tab[ins.A].arr
 	dst := in.tab[ins.B].arr
-	var transform func(gi, gj int) (int, int)
-	if ins.C == 1 {
-		transform = func(gi, gj int) (int, int) { return gj, gi }
-	}
-	return oocarray.RedistributeVia(in.proc, src, dst, int(ins.E), redistTag, transform, collio.Method(ins.D))
+	return oocarray.RedistributeVia(in.proc, src, dst, int(ins.E), redistTag, ins.C == 1, collio.Method(ins.D))
 }

@@ -406,9 +406,18 @@ func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
 	}
 	quiet := a.laf.Quiet()
 	buf := make([]float64, a.rows)
+	// The global row of every local row is the same in each column:
+	// translate it once per array, and the global column once per column.
+	gis := bufpool.GetInts(a.rows)
+	defer bufpool.PutInts(gis)
+	rowMap, rowCoord := a.dmap.Dims[0], a.dmap.ProcCoord(a.proc, 0)
+	for li := range gis {
+		gis[li] = rowMap.ToGlobal(rowCoord, li)
+	}
+	colMap, colCoord := a.dmap.Dims[1], a.dmap.ProcCoord(a.proc, 1)
 	for lj := 0; lj < a.cols; lj++ {
-		for li := 0; li < a.rows; li++ {
-			gi, gj := a.GlobalIndex(li, lj)
+		gj := colMap.ToGlobal(colCoord, lj)
+		for li, gi := range gis {
 			buf[li] = f(gi, gj)
 		}
 		chunk := []iosim.Chunk{{Off: int64(lj) * int64(a.rows), Len: a.rows}}

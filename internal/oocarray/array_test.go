@@ -33,6 +33,53 @@ func newTestArray(t *testing.T, n, p, proc int, clock *sim.Clock, opts Options) 
 	return arr, stats
 }
 
+// TestFillGlobalNonBlockMappings checks FillGlobal's hoisted index
+// tables against per-element GlobalIndex on every rank of cyclic,
+// block-cyclic, row-distributed and 2-D grid mappings, including ragged
+// and empty local sections.
+func TestFillGlobalNonBlockMappings(t *testing.T) {
+	mk := func(a *dist.Array, err error) *dist.Array {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	maps := []*dist.Array{
+		mk(dist.NewArray("cyc", dist.NewCollapsed(7), dist.NewCyclic(10, 4))),
+		mk(dist.NewArray("bc", dist.NewCollapsed(5), dist.NewBlockCyclic(11, 3, 2))),
+		mk(dist.NewArray("rows", dist.NewBlockCyclic(9, 4, 2), dist.NewCollapsed(6))),
+		mk(dist.NewArray("ragged", dist.NewBlock(5, 4), dist.NewCollapsed(3))),
+		mk(dist.NewGridArray("grid", dist.NewGrid(2, 3), dist.NewCyclic(9, 2), dist.NewBlock(8, 3))),
+		mk(dist.NewGridArray("gridbc", dist.NewGrid(3, 2), dist.NewBlock(7, 3), dist.NewBlockCyclic(10, 2, 3))),
+	}
+	for _, dm := range maps {
+		for proc := 0; proc < dm.Procs(); proc++ {
+			disk := iosim.NewDisk(iosim.NewMemFS(), sim.Delta(dm.Procs()), nil)
+			arr, err := New(disk, dm, proc, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := arr.FillGlobal(valueAt); err != nil {
+				t.Fatal(err)
+			}
+			m, err := arr.ReadLocal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lj := 0; lj < arr.LocalCols(); lj++ {
+				for li := 0; li < arr.LocalRows(); li++ {
+					gi, gj := arr.GlobalIndex(li, lj)
+					if got := m.At(li, lj); got != valueAt(gi, gj) {
+						t.Fatalf("%s rank %d local (%d,%d) = g(%d,%d): got %g want %g",
+							dm, proc, li, lj, gi, gj, got, valueAt(gi, gj))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFillGlobalAndReadLocal(t *testing.T) {
 	const n, p, proc = 16, 4, 2
 	arr, stats := newTestArray(t, n, p, proc, nil, Options{})

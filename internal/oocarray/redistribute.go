@@ -22,23 +22,23 @@ import (
 // transient memory and every individual disk request stay within the
 // budget regardless of the local array sizes.
 func Redistribute(p *mp.Proc, src, dst *Array, memElems, tag int) error {
-	return RedistributeVia(p, src, dst, memElems, tag, nil, collio.TwoPhase)
+	return RedistributeVia(p, src, dst, memElems, tag, false, collio.TwoPhase)
 }
 
-// RedistributeMapped is Redistribute with an index transform: global
-// element (gi, gj) of src is stored at transform(gi, gj) in dst's global
-// index space. A nil transform is the identity (plain redistribution);
-// swapping the indices yields an out-of-core transpose.
-func RedistributeMapped(p *mp.Proc, src, dst *Array, memElems, tag int, transform func(gi, gj int) (int, int)) error {
-	return RedistributeVia(p, src, dst, memElems, tag, transform, collio.TwoPhase)
+// RedistributeMapped is Redistribute with an optional transpose: with
+// transpose set, global element (gi, gj) of src is stored at (gj, gi) in
+// dst's global index space — an out-of-core transpose; without it, it is
+// plain redistribution.
+func RedistributeMapped(p *mp.Proc, src, dst *Array, memElems, tag int, transpose bool) error {
+	return RedistributeVia(p, src, dst, memElems, tag, transpose, collio.TwoPhase)
 }
 
 // RedistributeVia is RedistributeMapped with an explicit destination
 // write strategy, letting the compiler's cost model pick among direct,
 // sieved and two-phase writes per statement.
-func RedistributeVia(p *mp.Proc, src, dst *Array, memElems, tag int, transform func(gi, gj int) (int, int), method collio.Method) error {
+func RedistributeVia(p *mp.Proc, src, dst *Array, memElems, tag int, transpose bool, method collio.Method) error {
 	if src.proc != p.Rank() || dst.proc != p.Rank() {
 		return fmt.Errorf("oocarray: redistribute on rank %d with arrays of procs %d/%d", p.Rank(), src.proc, dst.proc)
 	}
-	return collio.Redistribute(p, src.collioSide(), dst.collioSide(), memElems, tag, transform, method)
+	return collio.Redistribute(p, src.collioSide(), dst.collioSide(), memElems, tag, transpose, method)
 }

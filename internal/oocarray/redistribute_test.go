@@ -13,7 +13,7 @@ import (
 // runRedistribute executes a column-block -> dstMap redistribution of an
 // n x n array over p processors and verifies every element landed where
 // dstMap says it should.
-func runRedistribute(t *testing.T, n, p int, mkDst func(n, p int) *dist.Array, transform func(int, int) (int, int), wantAt func(gi, gj int) float64) {
+func runRedistribute(t *testing.T, n, p int, mkDst func(n, p int) *dist.Array, transpose bool, wantAt func(gi, gj int) float64) {
 	t.Helper()
 	fs := iosim.NewMemFS()
 	_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
@@ -34,7 +34,7 @@ func runRedistribute(t *testing.T, n, p int, mkDst func(n, p int) *dist.Array, t
 		if err != nil {
 			return err
 		}
-		if err := RedistributeMapped(proc, src, dst, n*2, 100, transform); err != nil {
+		if err := RedistributeMapped(proc, src, dst, n*2, 100, transpose); err != nil {
 			return err
 		}
 		m, err := dst.ReadLocal()
@@ -65,7 +65,7 @@ func TestRedistributeColumnToRowBlock(t *testing.T) {
 		}
 		return d
 	}
-	runRedistribute(t, 12, 4, mkRow, nil, valueAt)
+	runRedistribute(t, 12, 4, mkRow, false, valueAt)
 }
 
 func TestRedistributeToCyclic(t *testing.T) {
@@ -76,7 +76,7 @@ func TestRedistributeToCyclic(t *testing.T) {
 		}
 		return d
 	}
-	runRedistribute(t, 10, 3, mkCyc, nil, valueAt)
+	runRedistribute(t, 10, 3, mkCyc, false, valueAt)
 }
 
 func TestRedistributeIdentity(t *testing.T) {
@@ -87,7 +87,7 @@ func TestRedistributeIdentity(t *testing.T) {
 		}
 		return d
 	}
-	runRedistribute(t, 8, 2, mkSame, nil, valueAt)
+	runRedistribute(t, 8, 2, mkSame, false, valueAt)
 }
 
 func TestRedistributeTranspose(t *testing.T) {
@@ -100,9 +100,8 @@ func TestRedistributeTranspose(t *testing.T) {
 		}
 		return d
 	}
-	swap := func(gi, gj int) (int, int) { return gj, gi }
 	// dst holds the transpose, so dst(gi,gj) == src(gj,gi).
-	runRedistribute(t, 9, 3, mkDst, swap, func(gi, gj int) float64 { return valueAt(gj, gi) })
+	runRedistribute(t, 9, 3, mkDst, true, func(gi, gj int) float64 { return valueAt(gj, gi) })
 }
 
 func TestRedistributeRaggedCounts(t *testing.T) {

@@ -137,7 +137,7 @@ func mkRedistribute() (func() (float64, error), error) {
 			if err != nil {
 				return err
 			}
-			return oocarray.RedistributeVia(proc, src, dst, 2*n, 100, nil, collio.Direct)
+			return oocarray.RedistributeVia(proc, src, dst, 2*n, 100, false, collio.Direct)
 		})
 		if err != nil {
 			return 0, err
