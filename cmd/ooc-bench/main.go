@@ -52,7 +52,7 @@ func main() {
 		serveWorkers  = flag.Int("serve-workers", 4, "server worker pool size in -serve mode")
 		serveGate     = flag.Bool("serve-gate", false, "fail unless every job completed and the cache hit ratio clears -serve-hit-ratio")
 		serveHitRatio = flag.Float64("serve-hit-ratio", 0.9, "minimum cache hit ratio for -serve-gate")
-		serveJournal  = flag.String("serve-journal", "", "journal the served jobs: 'mem' for an in-memory store, else a directory path (empty disables)")
+		serveJournal  = flag.String("serve-journal", "", "journal directory for the served jobs ('mem' or empty keeps it in memory); any non-empty value also tags every submission with an idempotency key")
 
 		version = flag.Bool("version", false, "print build information and exit")
 	)
@@ -149,21 +149,16 @@ func runWallclock(kernels, out, baseline string, nsFactor float64) {
 
 // runServe starts an in-process ooc-serve, floods it with the loadtest
 // mix over HTTP, and prints the report; with gate on, a lost job or a
-// cold cache fails the run. A journal store makes every submission
-// durable and tags each job with an idempotency key, gating the
-// journaled write path under the same load.
+// cold cache fails the run. The server always journals, in memory
+// unless journal names a directory; a non-empty journal also tags each
+// job with an idempotency key, gating the keyed write path under the
+// same load.
 func runServe(jobs, concurrency, tenants, workers int, gate bool, minHitRatio float64, journal string) {
 	cfg := serve.Config{Workers: workers}
-	if journal != "" {
-		var jfs iosim.FS
-		if journal == "mem" {
-			jfs = iosim.NewMemFS()
-		} else {
-			osfs, err := iosim.NewOSFS(journal)
-			if err != nil {
-				fatal(err)
-			}
-			jfs = osfs
+	if journal != "" && journal != "mem" {
+		jfs, err := iosim.NewOSFS(journal)
+		if err != nil {
+			fatal(err)
 		}
 		cfg.Journal = &serve.JournalConfig{FS: jfs}
 	}

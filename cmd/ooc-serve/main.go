@@ -11,12 +11,13 @@
 // submissions are rejected, in-flight and queued jobs finish (up to
 // -drain-timeout), then the process exits.
 //
-// With -journal DIR every accepted job is recorded in a write-ahead
-// journal under DIR before it runs. After a crash (kill -9, power
+// Every accepted job is recorded in a write-ahead journal before it
+// runs, and retried submissions carrying the same idempotency_key
+// deduplicate against retained outcomes. The journal lives in memory
+// unless -journal DIR puts it on disk. After a crash (kill -9, power
 // loss), restarting with the same -journal replays the journal: queued
-// jobs are re-admitted, checkpointed in-flight jobs resume from their
-// last durable checkpoint, and retried submissions carrying the same
-// idempotency_key deduplicate against retained outcomes.
+// jobs are re-admitted and checkpointed in-flight jobs resume from their
+// last durable checkpoint.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 		budgetMB     = flag.Int64("mem-budget-mb", 1024, "host-memory budget for inflight jobs, in MiB")
 		timeout      = flag.Duration("timeout", time.Minute, "default per-job execution deadline")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGTERM")
-		journalDir   = flag.String("journal", "", "write-ahead journal directory (empty disables durability)")
+		journalDir   = flag.String("journal", "", "write-ahead journal directory (empty keeps the journal in memory: no durability across restarts)")
 		logFormat    = flag.String("log", "text", "structured job-log format: text or json")
 		logLevel     = flag.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof")

@@ -570,46 +570,7 @@ func (p *Proc) absRank(rel, root int) int {
 // arena buffer the caller owns); on other processors it returns nil.
 // len(data) must match on all processors.
 func (p *Proc) Reduce(root, tag int, data []float64) []float64 {
-	p.collective("reduce")
-	acc := bufpool.GetF64(len(data))
-	copy(acc, data)
-	p.panicBufs[0] = acc
-	r := p.relRank(root)
-	size := p.Size()
-	for mask := 1; mask < size; mask <<= 1 {
-		if r&mask != 0 {
-			dst := p.absRank(r-mask, root)
-			p.panicBufs[0] = nil // ownership moves to the message
-			p.SendOwned(dst, internalTagBase+tag, acc)
-			if r != 0 {
-				return nil
-			}
-			p.panicBufs[0] = acc
-		} else if r+mask < size {
-			src := p.absRank(r+mask, root)
-			in := p.Recv(src, internalTagBase+tag)
-			p.panicBufs[1] = in
-			p.addInto(acc, in)
-			p.panicBufs[1] = nil
-			ReleaseBuf(in)
-		}
-	}
-	p.panicBufs[0] = nil
-	if r == 0 {
-		return acc
-	}
-	return nil
-}
-
-// addInto accumulates src into dst and charges the additions as compute.
-func (p *Proc) addInto(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mp: reduction length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	p.Compute(int64(len(src)))
+	return p.reduceTree("reduce", root, tag, data, addInto)
 }
 
 // Bcast distributes root's data to every processor using a binomial tree

@@ -6,60 +6,15 @@ import (
 	"github.com/ooc-hpf/passion/internal/bufpool"
 )
 
-// Op is an elementwise reduction operator. Implementations must be
-// associative; commutativity is not required because the binomial tree
-// combines contributions in a fixed rank order.
-type Op interface {
-	// Name labels the operator for diagnostics.
-	Name() string
-	// Combine folds src into dst elementwise.
-	Combine(dst, src []float64)
-}
-
-type sumOp struct{}
-
-func (sumOp) Name() string { return "sum" }
-func (sumOp) Combine(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-type maxOp struct{}
-
-func (maxOp) Name() string { return "max" }
-func (maxOp) Combine(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-type minOp struct{}
-
-func (minOp) Name() string { return "min" }
-func (minOp) Combine(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// Reduction operators.
-var (
-	OpSum Op = sumOp{}
-	OpMax Op = maxOp{}
-	OpMin Op = minOp{}
-)
-
-// ReduceWith performs a binomial-tree reduction with an arbitrary
-// operator, returning the result (an arena buffer the caller owns) on
-// root and nil elsewhere. Each combine step is charged as len(data)
-// flops.
-func (p *Proc) ReduceWith(root, tag int, data []float64, op Op) []float64 {
-	p.collective(op.Name())
+// reduceTree performs a binomial-tree reduction rooted at root, folding
+// each received contribution into the accumulator with combine (which
+// must be associative: contributions combine in a fixed rank order).
+// label names the collective's span. Each combine step is charged as
+// len(data) flops. On root it returns the result (an arena buffer the
+// caller owns); on other processors it returns nil. len(data) must
+// match on all processors.
+func (p *Proc) reduceTree(label string, root, tag int, data []float64, combine func(dst, src []float64)) []float64 {
+	p.collective(label)
 	acc := bufpool.GetF64(len(data))
 	copy(acc, data)
 	p.panicBufs[0] = acc
@@ -79,9 +34,9 @@ func (p *Proc) ReduceWith(root, tag int, data []float64, op Op) []float64 {
 			in := p.Recv(src, internalTagBase+tag)
 			p.panicBufs[1] = in
 			if len(in) != len(acc) {
-				panic(fmt.Sprintf("mp: %s reduction length mismatch %d vs %d", op.Name(), len(in), len(acc)))
+				panic(fmt.Sprintf("mp: %s: reduction length mismatch %d vs %d", label, len(acc), len(in)))
 			}
-			op.Combine(acc, in)
+			combine(acc, in)
 			p.Compute(int64(len(in)))
 			p.panicBufs[1] = nil
 			ReleaseBuf(in)
@@ -94,18 +49,29 @@ func (p *Proc) ReduceWith(root, tag int, data []float64, op Op) []float64 {
 	return nil
 }
 
-// AllReduceWith is ReduceWith followed by a broadcast of the result,
-// which every rank owns. Non-roots pass their nil reduce result straight
-// into Bcast, which never reads it there.
-func (p *Proc) AllReduceWith(tag int, data []float64, op Op) []float64 {
-	red := p.ReduceWith(0, tag, data, op)
-	p.panicBufs[0] = red // root holds the result across the broadcast's sends
-	return p.Bcast(0, tag, red)
+// addInto accumulates src into dst elementwise.
+func addInto(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// maxInto keeps the elementwise maximum of dst and src in dst.
+func maxInto(dst, src []float64) {
+	for i, v := range src {
+		if v > dst[i] {
+			dst[i] = v
+		}
+	}
 }
 
 // AllReduceMax returns the elementwise maximum across processors — used
 // by the runtime to agree on global loop bounds (e.g. slab counts on
-// ragged distributions).
+// ragged distributions). The result is an arena buffer every rank owns.
+// Non-roots pass their nil reduce result straight into Bcast, which
+// never reads it there.
 func (p *Proc) AllReduceMax(tag int, data []float64) []float64 {
-	return p.AllReduceWith(tag, data, OpMax)
+	red := p.reduceTree("max", 0, tag, data, maxInto)
+	p.panicBufs[0] = red // root holds the result across the broadcast's sends
+	return p.Bcast(0, tag, red)
 }

@@ -1,29 +1,21 @@
 package mp
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
-func TestReduceWithMaxMin(t *testing.T) {
+func TestAllReduceMaxAcrossSizes(t *testing.T) {
 	for _, procs := range []int{1, 2, 5, 8} {
 		procs := procs
 		t.Run(fmt.Sprintf("p=%d", procs), func(t *testing.T) {
 			run(t, procs, func(p *Proc) error {
-				data := []float64{float64(p.Rank()), -float64(p.Rank())}
-				max := p.ReduceWith(0, 1, data, OpMax)
-				min := p.ReduceWith(0, 2, data, OpMin)
-				if p.Rank() == 0 {
-					if max[0] != float64(procs-1) || max[1] != 0 {
-						return fmt.Errorf("max = %v", max)
-					}
-					if min[0] != 0 || min[1] != -float64(procs-1) {
-						return fmt.Errorf("min = %v", min)
-					}
-				} else if max != nil || min != nil {
-					return fmt.Errorf("non-root got results")
+				max := p.AllReduceMax(1, []float64{float64(p.Rank()), -float64(p.Rank())})
+				if max[0] != float64(procs-1) || max[1] != 0 {
+					return fmt.Errorf("rank %d: max = %v", p.Rank(), max)
 				}
 				return nil
 			})
@@ -41,27 +33,42 @@ func TestAllReduceMax(t *testing.T) {
 	})
 }
 
-func TestAllReduceWithSumMatchesAllReduce(t *testing.T) {
-	run(t, 7, func(p *Proc) error {
-		a := p.AllReduce(4, []float64{float64(p.Rank())})
-		b := p.AllReduceWith(5, []float64{float64(p.Rank())}, OpSum)
-		if a[0] != b[0] {
-			return fmt.Errorf("sum mismatch: %v vs %v", a, b)
+// TestAllReduceMaxChargesLikeAllReduce pins that the sum and max
+// all-reductions share one tree: only the combine differs, so messages,
+// flops and simulated time agree exactly.
+func TestAllReduceMaxChargesLikeAllReduce(t *testing.T) {
+	stats := func(max bool) []byte {
+		st, err := Run(sim.Delta(7), func(p *Proc) error {
+			data := []float64{float64(p.Rank()), 1}
+			reduce, want := p.AllReduce, 21.0 // 0+1+...+6
+			if max {
+				reduce, want = p.AllReduceMax, 6
+			}
+			got := reduce(5, data)
+			if got[0] != want {
+				return fmt.Errorf("rank %d: got %v, want %g", p.Rank(), got, want)
+			}
+			ReleaseBuf(got)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-}
-
-func TestOpNames(t *testing.T) {
-	if OpSum.Name() != "sum" || OpMax.Name() != "max" || OpMin.Name() != "min" {
-		t.Error("op names wrong")
+		b, err := json.Marshal(st.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if sum, max := stats(false), stats(true); string(sum) != string(max) {
+		t.Errorf("AllReduceMax charges differ from AllReduce\n sum %s\n max %s", sum, max)
 	}
 }
 
-func TestReduceWithLengthMismatch(t *testing.T) {
+func TestAllReduceMaxLengthMismatch(t *testing.T) {
 	_, err := Run(sim.Delta(2), func(p *Proc) error {
 		data := make([]float64, 1+p.Rank()) // different lengths
-		p.ReduceWith(0, 1, data, OpMax)
+		p.AllReduceMax(1, data)
 		return nil
 	})
 	if err == nil {

@@ -38,9 +38,6 @@ func (r *SlabReader) Close() {
 	r.pending = nil
 }
 
-// Remaining returns how many slabs have not been delivered yet.
-func (r *SlabReader) Remaining() int { return r.slb.Count - r.next }
-
 // Next delivers the next slab, or ok == false after the last one.
 func (r *SlabReader) Next() (icla *ICLA, ok bool, err error) {
 	if r.next >= r.slb.Count {

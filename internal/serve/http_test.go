@@ -26,7 +26,7 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, ma
 }
 
 func TestHTTPJobRoundTrip(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := mustOpen(t, Config{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -55,7 +55,7 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
-	s := New(Config{Workers: 1, MemoryBudget: 1 << 20})
+	s := mustOpen(t, Config{Workers: 1, MemoryBudget: 1 << 20})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -104,7 +104,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 }
 
 func TestHTTPHealthAndMetricsAcrossDrain(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -160,10 +160,7 @@ func TestHTTPDegradedMode(t *testing.T) {
 	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
 		{File: segName(1), Op: 5, Kind: iosim.KindPermanent},
 	}})
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: chaos, WorkFS: iosim.NewMemFS()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: chaos, WorkFS: iosim.NewMemFS()}})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -65,10 +65,10 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 
 	// IdempotencyKey makes retried submits safe across an ambiguous
-	// failure: on a journaled server, a key the server has already
-	// completed (or is still running) returns the original outcome with
-	// Deduplicated set instead of executing again. Keys of failed jobs
-	// are released, so a retry after a real failure runs fresh.
+	// failure: a key the server has already completed (or is still
+	// running) returns the original outcome with Deduplicated set instead
+	// of executing again. Keys of failed jobs are released, so a retry
+	// after a real failure runs fresh.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 	// TenantWeight updates the submitting tenant's fair-share weight
 	// (zero leaves it alone; the default weight is 1). A tenant with

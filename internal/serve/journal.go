@@ -41,6 +41,13 @@ const walMagic = "OOCWAL1\n"
 // walFrameHead is the bytes of one record's length+checksum header.
 const walFrameHead = 8
 
+// A live segment of walRotateBytes triggers a compacting rotation, and
+// the idempotency outcome store retains the walMaxOutcomes newest keys.
+const (
+	walRotateBytes = 1 << 20
+	walMaxOutcomes = 256
+)
+
 // record kinds.
 const (
 	recSubmit   = "submit"
@@ -264,7 +271,6 @@ type journal struct {
 	segIdx   int
 	segOff   int64
 	rotateAt int64
-	retry    iosim.RetryPolicy
 	dead     bool // no further appends (degraded or crash-simulated)
 	stats    JournalStats
 	state    *walState
@@ -289,18 +295,12 @@ type namer interface{ Names() []string }
 // surviving state into a fresh segment (old segments, including any torn
 // tails, are deleted). The journal never appends to a reopened file: the
 // compaction rewrite is the only way records cross a restart.
-func openJournal(fs iosim.FS, rotateAt int64, retry iosim.RetryPolicy, maxOutcomes int) (*journal, error) {
+func openJournal(fs iosim.FS) (*journal, error) {
 	nm, ok := fs.(namer)
 	if !ok {
 		return nil, fmt.Errorf("serve: journal store %T cannot enumerate segments", fs)
 	}
-	if rotateAt <= 0 {
-		rotateAt = 1 << 20
-	}
-	if maxOutcomes <= 0 {
-		maxOutcomes = 256
-	}
-	j := &journal{fs: fs, rotateAt: rotateAt, retry: retry, state: newWALState(maxOutcomes)}
+	j := &journal{fs: fs, rotateAt: walRotateBytes, state: newWALState(walMaxOutcomes)}
 
 	var segs []int
 	for _, name := range nm.Names() {
@@ -431,8 +431,9 @@ func (j *journal) append(rec *walRec) error {
 }
 
 // writeRetry writes frame at off on the live segment, retrying transient
-// faults. Callers hold j.mu.
+// faults under iosim.DefaultRetryPolicy. Callers hold j.mu.
 func (j *journal) writeRetry(frame []byte, off int64) error {
+	retry := iosim.DefaultRetryPolicy()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		n, err := j.seg.WriteAt(frame, off)
@@ -444,10 +445,10 @@ func (j *journal) writeRetry(frame []byte, off int64) error {
 		if lastErr == nil {
 			lastErr = io.ErrShortWrite
 		}
-		if attempt >= j.retry.MaxRetries || !iosim.IsTransient(err) {
+		if attempt >= retry.MaxRetries || !iosim.IsTransient(err) {
 			return lastErr
 		}
-		time.Sleep(time.Duration(j.retry.Backoff(attempt) * float64(time.Second)))
+		time.Sleep(time.Duration(retry.Backoff(attempt) * float64(time.Second)))
 	}
 }
 

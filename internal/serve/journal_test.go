@@ -9,9 +9,9 @@ import (
 	"github.com/ooc-hpf/passion/internal/iosim"
 )
 
-func testJournal(t *testing.T, fs iosim.FS, rotateAt int64, maxOutcomes int) *journal {
+func testJournal(t *testing.T, fs iosim.FS) *journal {
 	t.Helper()
-	j, err := openJournal(fs, rotateAt, iosim.DefaultRetryPolicy(), maxOutcomes)
+	j, err := openJournal(fs)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -47,7 +47,7 @@ func segNames(fs iosim.FS) []string {
 // outcome is retrievable.
 func TestJournalReplayRoundTrip(t *testing.T) {
 	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 0, 0)
+	j := testJournal(t, fs)
 	mustAppend(t, j, submitRec("job-1", "a", "k1"))
 	mustAppend(t, j, submitRec("job-2", "b", ""))
 	mustAppend(t, j, submitRec("job-3", "a", ""))
@@ -58,7 +58,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	mustAppend(t, j, &walRec{Kind: recCancel, Job: "job-4"})
 	j.close()
 
-	re := testJournal(t, fs, 0, 0)
+	re := testJournal(t, fs)
 	defer re.close()
 	live := re.liveJobs()
 	if len(live) != 2 || live[0].ID != "job-2" || live[1].ID != "job-3" {
@@ -97,7 +97,7 @@ func corruptTail(t *testing.T, fs *iosim.MemFS, f func(name string)) {
 // counted once, and never surfaces as a parse error.
 func TestJournalTornTailTruncated(t *testing.T) {
 	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 0, 0)
+	j := testJournal(t, fs)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	mustAppend(t, j, submitRec("job-2", "a", ""))
 	off := j.segOff
@@ -112,7 +112,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		f.WriteAt([]byte{0, 0, 1, 0, 0xde, 0xad, 0xbe, 0xef, 'x'}, off)
 	})
 
-	re := testJournal(t, fs, 0, 0)
+	re := testJournal(t, fs)
 	defer re.close()
 	if live := re.liveJobs(); len(live) != 2 {
 		t.Fatalf("live jobs = %d, want 2 (valid prefix preserved)", len(live))
@@ -127,7 +127,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 // untrusted and dropped, while the prefix survives.
 func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
 	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 0, 0)
+	j := testJournal(t, fs)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	boundary := j.segOff // start of job-2's frame
 	mustAppend(t, j, submitRec("job-2", "a", ""))
@@ -148,7 +148,7 @@ func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
 		f.WriteAt(b, boundary+walFrameHead)
 	})
 
-	re := testJournal(t, fs, 0, 0)
+	re := testJournal(t, fs)
 	defer re.close()
 	live := re.liveJobs()
 	if len(live) != 1 || live[0].ID != "job-1" {
@@ -163,7 +163,8 @@ func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
 // every append; the journal stays one segment holding the live state.
 func TestJournalRotationCompacts(t *testing.T) {
 	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 1, 0)
+	j := testJournal(t, fs)
+	j.rotateAt = 1
 	for _, id := range []string{"job-1", "job-2", "job-3"} {
 		mustAppend(t, j, submitRec(id, "a", ""))
 	}
@@ -177,7 +178,7 @@ func TestJournalRotationCompacts(t *testing.T) {
 	}
 	j.close()
 
-	re := testJournal(t, fs, 0, 0)
+	re := testJournal(t, fs)
 	defer re.close()
 	live := re.liveJobs()
 	if len(live) != 2 || live[0].ID != "job-1" || live[1].ID != "job-3" {
@@ -196,7 +197,7 @@ func TestJournalTornWriteHealedByRetry(t *testing.T) {
 		// the first append.
 		{File: seg1, Op: 2, Kind: iosim.KindShortWrite},
 	}})
-	j := testJournal(t, chaos, 0, 0)
+	j := testJournal(t, chaos)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	if got := chaos.Counts().ShortWrites; got != 1 {
 		t.Fatalf("short writes injected = %d, want 1", got)
@@ -206,7 +207,7 @@ func TestJournalTornWriteHealedByRetry(t *testing.T) {
 	}
 	j.close()
 
-	re := testJournal(t, mem, 0, 0)
+	re := testJournal(t, mem)
 	defer re.close()
 	if live := re.liveJobs(); len(live) != 1 || live[0].ID != "job-1" {
 		t.Fatalf("live jobs = %+v, want job-1", live)
@@ -221,7 +222,7 @@ func TestJournalDegradedOnPersistentFault(t *testing.T) {
 	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
 		{File: segName(1), Op: 2, Kind: iosim.KindPermanent},
 	}})
-	j := testJournal(t, chaos, 0, 0)
+	j := testJournal(t, chaos)
 	err := j.append(submitRec("job-1", "a", ""))
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("append under permanent fault = %v, want ErrDegraded", err)
@@ -239,7 +240,7 @@ func TestJournalDegradedOnPersistentFault(t *testing.T) {
 	j.close()
 
 	// The failed record never became durable: a restart owes nothing.
-	re := testJournal(t, mem, 0, 0)
+	re := testJournal(t, mem)
 	defer re.close()
 	if live := re.liveJobs(); len(live) != 0 {
 		t.Fatalf("live jobs after degraded append = %+v, want none", live)
@@ -254,7 +255,7 @@ func TestJournalTransientFaultRetried(t *testing.T) {
 		{File: segName(1), Op: 2, Kind: iosim.KindTransient},
 		{File: segName(1), Op: 3, Kind: iosim.KindTransient},
 	}})
-	j := testJournal(t, chaos, 0, 0)
+	j := testJournal(t, chaos)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	defer j.close()
 	if st := j.statsSnapshot(); st.Degraded || st.RecordsAppended != 1 {
@@ -269,7 +270,7 @@ func TestJournalFsyncsOnOSFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := testJournal(t, fs, 0, 0)
+	j := testJournal(t, fs)
 	defer j.close()
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	st := j.statsSnapshot()
@@ -284,7 +285,7 @@ func TestJournalFsyncsOnOSFS(t *testing.T) {
 // compact record resets the state — and the live set is not duplicated.
 func TestJournalCrashMidCompactionReplaysCleanly(t *testing.T) {
 	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 0, 0)
+	j := testJournal(t, fs)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	mustAppend(t, j, submitRec("job-2", "a", ""))
 	j.close()
@@ -301,7 +302,7 @@ func TestJournalCrashMidCompactionReplaysCleanly(t *testing.T) {
 
 	// Reopen compacts into the next segment and deletes the old one;
 	// resurrect the old segment as if that deletion never happened.
-	j2 := testJournal(t, fs, 0, 0)
+	j2 := testJournal(t, fs)
 	j2.close()
 	g, err := fs.Create(stale)
 	if err != nil {
@@ -309,7 +310,7 @@ func TestJournalCrashMidCompactionReplaysCleanly(t *testing.T) {
 	}
 	g.WriteAt(content, 0)
 
-	re := testJournal(t, fs, 0, 0)
+	re := testJournal(t, fs)
 	defer re.close()
 	live := re.liveJobs()
 	if len(live) != 2 || live[0].ID != "job-1" || live[1].ID != "job-2" {
@@ -325,7 +326,8 @@ func TestJournalCrashMidCompactionReplaysCleanly(t *testing.T) {
 // compaction.
 func TestJournalOutcomeRetentionBounded(t *testing.T) {
 	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 0, 2)
+	j := testJournal(t, fs)
+	j.state.maxOutcomes = 2
 	for i, key := range []string{"k1", "k2", "k3"} {
 		id := string(rune('1' + i))
 		mustAppend(t, j, submitRec("job-"+id, "a", key))
@@ -340,10 +342,20 @@ func TestJournalOutcomeRetentionBounded(t *testing.T) {
 			t.Fatalf("%s missing from retained outcomes", key)
 		}
 	}
+	// Compact under the lowered bound, so the restart replays only the
+	// snapshot it wrote.
+	j.mu.Lock()
+	if err := j.compactLocked(); err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Unlock()
 	j.close()
 
-	re := testJournal(t, fs, 0, 2)
+	re := testJournal(t, fs)
 	defer re.close()
+	if _, ok := re.outcome("k1"); ok {
+		t.Fatal("evicted outcome came back across restart")
+	}
 	if _, ok := re.outcome("k3"); !ok {
 		t.Fatal("retained outcome lost across restart")
 	}

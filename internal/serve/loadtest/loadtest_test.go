@@ -12,7 +12,10 @@ import (
 // real HTTP round trip and checks the CI gate passes: every job
 // completes and the plan cache carries the repeated mix.
 func TestLoadRunCompletesAndGates(t *testing.T) {
-	s := serve.New(serve.Config{Workers: 4})
+	s, err := serve.Open(serve.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -170,21 +170,18 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		}
 	})
 
-	if m.Journal != nil {
-		j := m.Journal
-		p.metric("passion_serve_journal_records_total", "Write-ahead journal records appended.", "counter", func() {
-			p.printf("passion_serve_journal_records_total %d\n", j.RecordsAppended)
-		})
-		p.metric("passion_serve_journal_replayed_total", "Jobs re-admitted from the journal at startup.", "counter", func() {
-			p.printf("passion_serve_journal_replayed_total %d\n", j.ReplayedJobs)
-		})
-		p.metric("passion_serve_journal_resumed_total", "Replayed jobs that resumed from exec checkpoints.", "counter", func() {
-			p.printf("passion_serve_journal_resumed_total %d\n", j.ResumedJobs)
-		})
-		p.metric("passion_serve_journal_bytes", "Current size of the live journal segment.", "gauge", func() {
-			p.printf("passion_serve_journal_bytes %d\n", j.Bytes)
-		})
-	}
+	p.metric("passion_serve_journal_records_total", "Write-ahead journal records appended.", "counter", func() {
+		p.printf("passion_serve_journal_records_total %d\n", m.Journal.RecordsAppended)
+	})
+	p.metric("passion_serve_journal_replayed_total", "Jobs re-admitted from the journal at startup.", "counter", func() {
+		p.printf("passion_serve_journal_replayed_total %d\n", m.Journal.ReplayedJobs)
+	})
+	p.metric("passion_serve_journal_resumed_total", "Replayed jobs that resumed from exec checkpoints.", "counter", func() {
+		p.printf("passion_serve_journal_resumed_total %d\n", m.Journal.ResumedJobs)
+	})
+	p.metric("passion_serve_journal_bytes", "Current size of the live journal segment.", "gauge", func() {
+		p.printf("passion_serve_journal_bytes %d\n", m.Journal.Bytes)
+	})
 
 	p.hist("passion_serve_job_latency_seconds", "Wall time from accepted submit to terminal outcome.", s.histJobLatency)
 	p.hist("passion_serve_queue_wait_seconds", "Wall time from admission to worker pickup.", s.histQueueWait)

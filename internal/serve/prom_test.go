@@ -33,7 +33,7 @@ func TestPromHistObserve(t *testing.T) {
 }
 
 func TestWritePrometheusValidates(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	if _, err := s.Submit(context.Background(), Request{N: 32, Tenant: "acme"}); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestValidatePrometheusRejectsBadExpositions(t *testing.T) {
 // header fix: both formats must advertise a charset and must forbid
 // caching a point-in-time snapshot.
 func TestMetricsHeaders(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

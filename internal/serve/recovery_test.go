@@ -27,15 +27,10 @@ func crashReq(key string) Request {
 // same idempotency key lands on final statistics bitwise identical to
 // an uninterrupted run — resumed from exec checkpoints where the spec
 // allows it, deduplicated from the retained outcome where the job had
-// already completed.
+// already completed. The reference is a direct exec.Run of the spec, so
+// the oracle shares no code with the server under test.
 func TestCrashRestartMatrix(t *testing.T) {
-	ref := New(Config{Workers: 1})
-	refResp, err := ref.Submit(context.Background(), crashReq(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
-	want := mustJSON(t, refResp.Stats)
+	want := directSnapshot(t, crashReq(""))
 
 	points := []struct {
 		point string
@@ -50,21 +45,15 @@ func TestCrashRestartMatrix(t *testing.T) {
 		t.Run(p.point, func(t *testing.T) {
 			fs := iosim.NewMemFS()
 			key := "crash-" + p.point
-			s, err := Open(Config{Workers: 1,
+			s := mustOpen(t, Config{Workers: 1,
 				Journal: &JournalConfig{FS: fs},
 				Crash:   &CrashSpec{Point: p.point, N: p.n}})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if _, serr := s.Submit(context.Background(), crashReq(key)); serr == nil {
 				t.Fatal("submit to a crashing server reported success")
 			}
 			s.Close()
 
-			re, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-			if err != nil {
-				t.Fatalf("restart over crashed journal: %v", err)
-			}
+			re := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 			defer re.Close()
 			resp, err := re.Submit(context.Background(), crashReq(key))
 			if err != nil {
@@ -77,9 +66,6 @@ func TestCrashRestartMatrix(t *testing.T) {
 				t.Error("retried submit was not deduplicated against the journaled job")
 			}
 			m := re.MetricsSnapshot()
-			if m.Journal == nil {
-				t.Fatal("journal metrics missing")
-			}
 			if p.point == CrashComplete {
 				// The job completed durably before the "death": nothing
 				// replays; the retained outcome answers the retry.
@@ -108,28 +94,15 @@ func TestCrashRestartMatrix(t *testing.T) {
 // still reports stats bitwise identical to an uninterrupted run.
 func TestCrashRestartNonResumableReruns(t *testing.T) {
 	req := Request{N: 32, Procs: 4, MemElems: 300, IdempotencyKey: "nr"}
-	ref := New(Config{Workers: 1})
-	refResp, err := ref.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Close()
-
 	fs := iosim.NewMemFS()
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs},
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs},
 		Crash: &CrashSpec{Point: CrashDispatch, N: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, serr := s.Submit(context.Background(), req); serr == nil {
 		t.Fatal("submit to a crashing server reported success")
 	}
 	s.Close()
 
-	re, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	defer re.Close()
 	resp, err := re.Submit(context.Background(), req)
 	if err != nil {
@@ -138,7 +111,7 @@ func TestCrashRestartNonResumableReruns(t *testing.T) {
 	if resp.Resumed {
 		t.Error("non-resumable job claims a checkpoint resume")
 	}
-	if got, want := mustJSON(t, resp.Stats), mustJSON(t, refResp.Stats); !bytes.Equal(got, want) {
+	if got, want := mustJSON(t, resp.Stats), directSnapshot(t, req); !bytes.Equal(got, want) {
 		t.Errorf("rerun stats diverged\n got %s\nwant %s", got, want)
 	}
 }
@@ -149,16 +122,13 @@ func TestCrashRestartNonResumableReruns(t *testing.T) {
 // may be journaled for the dead job.
 func TestReservationReleasedOnPickupCancel(t *testing.T) {
 	fs := iosim.NewMemFS()
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s.pickupGate = func(*job) { cancel() }
 
-	_, err = s.Submit(ctx, Request{N: 32, Procs: 4, MemElems: 300})
+	_, err := s.Submit(ctx, Request{N: 32, Procs: 4, MemElems: 300})
 	if err == nil {
 		t.Fatal("cancelled submit reported success")
 	}
@@ -191,19 +161,8 @@ func TestReservationReleasedOnPickupCancel(t *testing.T) {
 // weights a=2, b=1, tenant a receives two of every three slots while b
 // still cannot be starved.
 func TestWeightedFairShareDispatch(t *testing.T) {
-	s := &Server{
-		cfg:     Config{}.withDefaults(),
-		queues:  make(map[string][]*job),
-		tenants: make(map[string]*tenantCounters),
-		weights: map[string]int{"a": 2, "b": 1},
-	}
-	s.dispatch = sync.NewCond(&s.mu)
-	s.change = sync.NewCond(&s.mu)
-
-	mk := func(tenant, id string) *job {
-		return &job{id: id, req: Request{Tenant: tenant}, ctx: context.Background(), done: make(chan struct{})}
-	}
-	jobs := []*job{mk("a", "a1"), mk("a", "a2"), mk("a", "a3"), mk("a", "a4"), mk("b", "b1"), mk("b", "b2")}
+	s := idleServer(t, map[string]int{"a": 2, "b": 1})
+	jobs := []*job{idleJob("a", "a1"), idleJob("a", "a2"), idleJob("a", "a3"), idleJob("a", "a4"), idleJob("b", "b1"), idleJob("b", "b2")}
 	for _, j := range jobs {
 		if _, _, err := s.enqueue(j); err != nil {
 			t.Fatal(err)
@@ -228,7 +187,7 @@ func TestWeightedFairShareDispatch(t *testing.T) {
 // TestTenantWeightFromRequest: a submit carrying TenantWeight updates
 // the tenant's share for subsequent dispatch rounds.
 func TestTenantWeightFromRequest(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	if _, err := s.Submit(context.Background(),
 		Request{Tenant: "heavy", TenantWeight: 3, N: 32, Procs: 4, MemElems: 300}); err != nil {
@@ -246,7 +205,7 @@ func TestTenantWeightFromRequest(t *testing.T) {
 // API, as if a previous server life accepted them and died.
 func seedLiveJobs(t *testing.T, fs iosim.FS, n int) {
 	t.Helper()
-	j := testJournal(t, fs, 0, 0)
+	j := testJournal(t, fs)
 	for i := 1; i <= n; i++ {
 		mustAppend(t, j, submitRec(fmt.Sprintf("job-%d", i), "a", ""))
 	}
@@ -263,17 +222,11 @@ func TestCloseDuringReplayKeepsJobsDurable(t *testing.T) {
 	fs := iosim.NewMemFS()
 	seedLiveJobs(t, fs, n)
 
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	s.Close()
 	completed := s.MetricsSnapshot().Completed
 
-	re, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatalf("reopen after early close: %v", err)
-	}
+	re := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	replayed := re.MetricsSnapshot().Journal.ReplayedJobs
 	if completed+replayed != n {
 		t.Fatalf("jobs lost across early close: completed %d + replayed %d != %d",
@@ -289,10 +242,7 @@ func TestCloseDuringReplayKeepsJobsDurable(t *testing.T) {
 	}
 
 	// After the drain everything is done: a third life owes nothing.
-	last, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	last := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	defer last.Close()
 	if got := last.MetricsSnapshot().Journal.ReplayedJobs; got != 0 {
 		t.Fatalf("drained journal still replays %d jobs", got)
@@ -305,10 +255,7 @@ func TestCloseDuringReplayKeepsJobsDurable(t *testing.T) {
 // cleanly.
 func TestDrainCloseSubmitRace(t *testing.T) {
 	fs := iosim.NewMemFS()
-	s, err := Open(Config{Workers: 2, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 2, Journal: &JournalConfig{FS: fs}})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -338,10 +285,7 @@ func TestDrainCloseSubmitRace(t *testing.T) {
 	wg.Wait()
 	s.Close() // idempotent
 
-	re, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatalf("journal did not survive the shutdown race: %v", err)
-	}
+	re := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	re.Close()
 }
 
@@ -357,10 +301,7 @@ func TestDegradedModeServesReads(t *testing.T) {
 	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
 		{File: segName(1), Op: 5, Kind: iosim.KindPermanent},
 	}})
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: chaos, WorkFS: iosim.NewMemFS()}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: chaos, WorkFS: iosim.NewMemFS()}})
 	defer s.Close()
 
 	first, err := s.Submit(context.Background(), Request{N: 32, Procs: 4, MemElems: 300, IdempotencyKey: "deg"})
@@ -388,15 +329,51 @@ func TestDegradedModeServesReads(t *testing.T) {
 	}
 }
 
+// TestInMemoryServerHonoursIdempotencyKeys: a server opened without a
+// JournalConfig still journals (in memory), so a retried keyed submit is
+// answered from the retained outcome, and the journal counters reach
+// both metrics surfaces.
+func TestInMemoryServerHonoursIdempotencyKeys(t *testing.T) {
+	s := mustOpen(t, Config{Workers: 1})
+	defer s.Close()
+	req := Request{N: 32, Procs: 4, MemElems: 300, IdempotencyKey: "mem"}
+	first, err := s.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retry, err := s.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Deduplicated || !retry.Deduplicated {
+		t.Fatalf("Deduplicated first=%v retry=%v, want false then true", first.Deduplicated, retry.Deduplicated)
+	}
+	if got, want := mustJSON(t, retry.Stats), mustJSON(t, first.Stats); !bytes.Equal(got, want) {
+		t.Errorf("deduplicated stats differ\n got %s\nwant %s", got, want)
+	}
+	m := s.MetricsSnapshot()
+	if m.Completed != 1 || m.Deduplicated != 1 {
+		t.Errorf("completed=%d deduplicated=%d, want 1 and 1", m.Completed, m.Deduplicated)
+	}
+	// submit + dispatch + complete of the one execution.
+	if m.Journal.RecordsAppended != 3 {
+		t.Errorf("Journal.RecordsAppended = %d, want 3", m.Journal.RecordsAppended)
+	}
+	var prom bytes.Buffer
+	if err := s.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(prom.Bytes(), []byte("\npassion_serve_journal_records_total 3\n")) {
+		t.Errorf("Prometheus exposition lacks the journal record counter:\n%s", prom.Bytes())
+	}
+}
+
 // TestIdempotentSubmitAttachesInFlight: two concurrent submits under
 // one key execute once; the second rides along and is marked
 // deduplicated.
 func TestIdempotentSubmitAttachesInFlight(t *testing.T) {
 	fs := iosim.NewMemFS()
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	defer s.Close()
 
 	req := Request{N: 32, Procs: 4, MemElems: 300, IdempotencyKey: "pair"}
@@ -441,10 +418,7 @@ func TestIdempotentSubmitAttachesInFlight(t *testing.T) {
 // segments stays behind.
 func TestWorkStoreSweptAfterCompletion(t *testing.T) {
 	fs := iosim.NewMemFS()
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, Journal: &JournalConfig{FS: fs}})
 	defer s.Close()
 	if _, err := s.Submit(context.Background(), crashReq("")); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -63,6 +64,37 @@ func directSnapshot(t *testing.T, req Request) []byte {
 	return mustJSON(t, out.Stats.Snapshot())
 }
 
+// mustOpen starts a server on cfg or fails the test.
+func mustOpen(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return s
+}
+
+// idleServer is a Server with a journal but no workers, so a test can
+// drive enqueue and next by hand.
+func idleServer(t *testing.T, weights map[string]int) *Server {
+	t.Helper()
+	s := &Server{
+		cfg:     Config{}.withDefaults(),
+		journal: testJournal(t, iosim.NewMemFS()),
+		queues:  make(map[string][]*job),
+		tenants: make(map[string]*tenantCounters),
+		weights: weights,
+	}
+	s.dispatch = sync.NewCond(&s.mu)
+	s.change = sync.NewCond(&s.mu)
+	return s
+}
+
+// idleJob is a bare queued job for idleServer.
+func idleJob(tenant, id string) *job {
+	return &job{id: id, req: Request{Tenant: tenant}, ctx: context.Background(), done: make(chan struct{})}
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -103,7 +135,7 @@ func TestServedMatchesDirect(t *testing.T) {
 		want[i] = directSnapshot(t, req)
 	}
 
-	s := New(Config{Workers: 4})
+	s := mustOpen(t, Config{Workers: 4})
 	defer s.Close()
 	const copies = 2
 	var wg sync.WaitGroup
@@ -148,7 +180,7 @@ func TestServedMatchesDirect(t *testing.T) {
 // TestServedKillRankReportsRecovery checks the resilient path surfaces
 // its attempt counters through the response.
 func TestServedKillRankReportsRecovery(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	resp, err := s.Submit(context.Background(), Request{
 		N: 64, Procs: 4, MemElems: 1 << 12, Checkpoint: 2, Parity: true, KillRank: "1@60",
@@ -168,7 +200,7 @@ func TestTimeoutLeavesServerServing(t *testing.T) {
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
 
-	s := New(Config{Workers: 2})
+	s := mustOpen(t, Config{Workers: 2})
 	defer s.Close()
 	_, err := s.Submit(context.Background(), Request{N: 256, Procs: 4, MemElems: 1 << 12, TimeoutMS: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -198,7 +230,7 @@ func TestTimeoutLeavesServerServing(t *testing.T) {
 // TestSubmitterGoneDiscardsQueuedJob cancels the submission context
 // while the job is still queued; the job is discarded, not executed.
 func TestSubmitterGoneDiscardsQueuedJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 
 	// Occupy the only worker, then queue a job whose submitter gives up.
@@ -222,7 +254,7 @@ func TestSubmitterGoneDiscardsQueuedJob(t *testing.T) {
 
 // TestOversizeRejected rejects a job that could never fit the budget.
 func TestOversizeRejected(t *testing.T) {
-	s := New(Config{Workers: 1, MemoryBudget: 1 << 20})
+	s := mustOpen(t, Config{Workers: 1, MemoryBudget: 1 << 20})
 	defer s.Close()
 	_, err := s.Submit(context.Background(), Request{N: 512, Procs: 4, MemElems: 1 << 12})
 	if !errors.Is(err, ErrOversize) {
@@ -249,7 +281,7 @@ func TestBudgetSerializesInflight(t *testing.T) {
 	}
 	one := EstimateFootprint(res.Program, false, false)
 
-	s := New(Config{Workers: 4, MemoryBudget: one + one/2})
+	s := mustOpen(t, Config{Workers: 4, MemoryBudget: one + one/2})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
@@ -271,18 +303,8 @@ func TestBudgetSerializesInflight(t *testing.T) {
 // tenant flooding the queue, another tenant's lone job is dispatched on
 // the next pass, not after the flood.
 func TestFairShareDispatch(t *testing.T) {
-	s := &Server{
-		cfg:     Config{}.withDefaults(),
-		queues:  make(map[string][]*job),
-		tenants: make(map[string]*tenantCounters),
-	}
-	s.dispatch = sync.NewCond(&s.mu)
-	s.change = sync.NewCond(&s.mu)
-
-	mk := func(tenant, id string) *job {
-		return &job{id: id, req: Request{Tenant: tenant}, ctx: context.Background(), done: make(chan struct{})}
-	}
-	for _, j := range []*job{mk("a", "a1"), mk("a", "a2"), mk("a", "a3"), mk("b", "b1")} {
+	s := idleServer(t, nil)
+	for _, j := range []*job{idleJob("a", "a1"), idleJob("a", "a2"), idleJob("a", "a3"), idleJob("b", "b1")} {
 		if _, _, err := s.enqueue(j); err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +323,7 @@ func TestFairShareDispatch(t *testing.T) {
 // TestDrainFinishesQueuedJobs drains with work still queued: everything
 // already accepted completes, later submissions are turned away.
 func TestDrainFinishesQueuedJobs(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	const jobs = 3
 	var wg sync.WaitGroup
 	done := make(chan *Response, jobs)
@@ -391,7 +413,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 // very same *compiler.Result (exec lowers it to its opcode stream per
 // run), and both submissions execute to the same plan identity.
 func TestJobsRunThroughBytecode(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}
 	var resps [2]*Response
@@ -424,7 +446,7 @@ func TestJobsRunThroughBytecode(t *testing.T) {
 // TestFingerprintVariesWithMachine checks the reported plan identity
 // separates machines and memory, not just program shape.
 func TestFingerprintVariesWithMachine(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	base := Request{N: 64, Procs: 4, MemElems: 1 << 12}
 	r1, err := s.Submit(context.Background(), base)
@@ -448,7 +470,7 @@ func TestFingerprintVariesWithMachine(t *testing.T) {
 // TestTraceRequested checks the optional Chrome-trace artifact arrives
 // and parses, and that its spans reconcile with the stats.
 func TestTraceRequested(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	resp, err := s.Submit(context.Background(), Request{N: 64, Procs: 4, MemElems: 1 << 12, Trace: true})
 	if err != nil {

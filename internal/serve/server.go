@@ -44,23 +44,17 @@ var (
 	ErrCrashed = errors.New("serve: simulated crash")
 )
 
-// JournalConfig enables the write-ahead job journal: with it set, every
-// job state transition is made durable before it takes effect and a
-// restarted server (Open over the same FS) replays the work it owed.
+// JournalConfig places the write-ahead job journal. Every server
+// journals: each job state transition is made durable before it takes
+// effect, and a restarted server (Open over the same FS) replays the
+// work it owed.
 type JournalConfig struct {
 	// FS stores the journal segments. It must support enumeration
-	// (MemFS, OSFS and ChaosFS all do).
+	// (MemFS, OSFS and ChaosFS all do); nil keeps them in a fresh MemFS.
 	FS iosim.FS
 	// WorkFS stores the array files and exec checkpoints of resumable
 	// jobs, namespaced per job attempt; nil shares FS.
 	WorkFS iosim.FS
-	// RotateBytes triggers a compacting segment rotation (default 1 MiB).
-	RotateBytes int64
-	// MaxOutcomes bounds the retained idempotency outcomes (default 256).
-	MaxOutcomes int
-	// Retry overrides the transient-write retry policy (default
-	// iosim.DefaultRetryPolicy).
-	Retry *iosim.RetryPolicy
 }
 
 // CrashSpec is the service-level chaos harness: the server simulates a
@@ -105,8 +99,9 @@ type Config struct {
 	// TenantWeights sets per-tenant fair-share weights (default 1 each).
 	// A tenant with weight w receives w shares per dispatch round.
 	TenantWeights map[string]int
-	// Journal enables crash-safe durability; nil serves purely in
-	// memory, exactly as before.
+	// Journal places the write-ahead journal; nil keeps it in a fresh
+	// MemFS, which lives as long as the server (no durability across
+	// restarts).
 	Journal *JournalConfig
 	// Crash injects a simulated process death (tests and chaos gates).
 	Crash *CrashSpec
@@ -177,9 +172,8 @@ type tenantCounters struct {
 	Rejected  int64 `json:"rejected"`
 }
 
-// Server is the compile-and-run service. Create with New (or Open when
-// journaling), submit with Submit (or over HTTP via Handler), and stop
-// with Drain or Close.
+// Server is the compile-and-run service. Create with Open, submit with
+// Submit (or over HTTP via Handler), and stop with Drain or Close.
 type Server struct {
 	cfg   Config
 	cache *planCache
@@ -239,22 +233,12 @@ type Server struct {
 	rejectedDraining atomic.Int64
 }
 
-// New starts a server with cfg's worker pool running. It panics when
-// Open would fail, which only a journal configuration can cause — use
-// Open directly for journaled servers.
-func New(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Open starts a server, replaying the write-ahead journal first when
-// cfg.Journal is set: queued jobs are re-admitted in their original
-// arrival order, jobs that were RUNNING at crash time resume from their
-// exec checkpoints (or rerun from scratch when their spec is not
-// resumable), and retained idempotency outcomes answer retried submits.
+// Open starts a server with cfg's worker pool running, replaying the
+// write-ahead journal first: queued jobs are re-admitted in their
+// original arrival order, jobs that were RUNNING at crash time resume
+// from their exec checkpoints (or rerun from scratch when their spec is
+// not resumable), and retained idempotency outcomes answer retried
+// submits.
 func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg.withDefaults(),
@@ -287,25 +271,22 @@ func Open(cfg Config) (*Server, error) {
 		}
 		s.cfg.Crash = &cc
 	}
-	if jc := s.cfg.Journal; jc != nil {
-		if jc.FS == nil {
-			return nil, errors.New("serve: JournalConfig.FS is required")
-		}
-		retry := iosim.DefaultRetryPolicy()
-		if jc.Retry != nil {
-			retry = *jc.Retry
-		}
-		jn, err := openJournal(jc.FS, jc.RotateBytes, retry, jc.MaxOutcomes)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = jn
-		s.workFS = jc.WorkFS
-		if s.workFS == nil {
-			s.workFS = jc.FS
-		}
-		s.replay()
+	var jc JournalConfig
+	if c := s.cfg.Journal; c != nil {
+		jc = *c
 	}
+	if jc.FS == nil {
+		jc.FS = iosim.NewMemFS()
+	}
+	if jc.WorkFS == nil {
+		jc.WorkFS = jc.FS
+	}
+	jn, err := openJournal(jc.FS)
+	if err != nil {
+		return nil, err
+	}
+	s.journal, s.workFS = jn, jc.WorkFS
+	s.replay()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -404,7 +385,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	req = req.withDefaults()
 	s.submitted.Add(1)
 
-	if s.journal != nil && req.IdempotencyKey != "" {
+	if req.IdempotencyKey != "" {
 		if resp, ok := s.dedupOutcome(req.IdempotencyKey); ok {
 			return resp, nil
 		}
@@ -419,9 +400,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	j.submittedAt = time.Now()
-	if s.journal != nil {
-		j.key = req.IdempotencyKey
-	}
+	j.key = req.IdempotencyKey
 	attached, dedup, err := s.enqueue(j)
 	if err != nil {
 		s.reject(req.Tenant, err)
@@ -566,7 +545,7 @@ func (s *Server) enqueue(j *job) (attached *job, dedup *Response, err error) {
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %d jobs queued", ErrBusy, n)
 	}
-	if s.journal != nil && j.key != "" {
+	if j.key != "" {
 		if jx := s.keys[j.key]; jx != nil {
 			s.mu.Unlock()
 			return jx, nil, nil
@@ -588,21 +567,19 @@ func (s *Server) enqueue(j *job) (attached *job, dedup *Response, err error) {
 	s.queued++ // provisional slot while the submit record is written
 	s.mu.Unlock()
 
-	if s.journal != nil {
-		rec := &walRec{Kind: recSubmit, Job: j.id, Tenant: j.req.Tenant, Key: j.key,
-			Weight: j.req.TenantWeight, Spec: &j.req, Fingerprint: j.fingerprint}
-		if aerr := s.journal.append(rec); aerr != nil {
-			s.degraded.Store(true)
-			s.log.Error("journal degraded: submit record failed",
-				"job", j.id, "tenant", j.req.Tenant, "key", j.key, "error", aerr.Error())
-			s.unenqueue(j)
-			// Fail any submit that already attached to this key.
-			j.err = aerr
-			close(j.done)
-			return nil, nil, aerr
-		}
-		s.crashPoint(CrashSubmit)
+	rec := &walRec{Kind: recSubmit, Job: j.id, Tenant: j.req.Tenant, Key: j.key,
+		Weight: j.req.TenantWeight, Spec: &j.req, Fingerprint: j.fingerprint}
+	if aerr := s.journal.append(rec); aerr != nil {
+		s.degraded.Store(true)
+		s.log.Error("journal degraded: submit record failed",
+			"job", j.id, "tenant", j.req.Tenant, "key", j.key, "error", aerr.Error())
+		s.unenqueue(j)
+		// Fail any submit that already attached to this key.
+		j.err = aerr
+		close(j.done)
+		return nil, nil, aerr
 	}
+	s.crashPoint(CrashSubmit)
 
 	s.mu.Lock()
 	if s.crashed || s.closed || s.draining {
@@ -625,9 +602,7 @@ func (s *Server) enqueue(j *job) (attached *job, dedup *Response, err error) {
 		// Shut down between the record and admission: tell the journal
 		// the client saw a rejection (best-effort — the journal may
 		// already be closed).
-		if s.journal != nil {
-			s.journal.append(&walRec{Kind: recCancel, Job: j.id, Error: ErrDraining.Error()})
-		}
+		s.journal.append(&walRec{Kind: recCancel, Job: j.id, Error: ErrDraining.Error()})
 		j.err = ErrDraining
 		close(j.done)
 		return nil, nil, ErrDraining
@@ -699,7 +674,7 @@ func (s *Server) degradedNow() bool {
 	if s.degraded.Load() {
 		return true
 	}
-	if s.journal != nil && s.journal.degraded() {
+	if s.journal.degraded() {
 		s.degraded.Store(true)
 		return true
 	}
@@ -735,22 +710,20 @@ func (s *Server) worker() {
 			s.finish(j, nil, err)
 			continue
 		}
-		if s.journal != nil {
-			if !j.resume {
-				j.attempt++
-			}
-			rec := &walRec{Kind: recDispatch, Job: j.id, Attempt: j.attempt}
-			if aerr := s.journal.append(rec); aerr != nil && !s.isCrashed() {
-				s.degraded.Store(true)
-				s.log.Error("journal degraded: dispatch record failed",
-					"job", j.id, "attempt", j.attempt, "error", aerr.Error())
-			}
-			s.crashPoint(CrashDispatch)
-			if s.isCrashed() {
-				s.release(j.footprint)
-				s.finish(j, nil, ErrCrashed)
-				continue
-			}
+		if !j.resume {
+			j.attempt++
+		}
+		rec := &walRec{Kind: recDispatch, Job: j.id, Attempt: j.attempt}
+		if aerr := s.journal.append(rec); aerr != nil && !s.isCrashed() {
+			s.degraded.Store(true)
+			s.log.Error("journal degraded: dispatch record failed",
+				"job", j.id, "attempt", j.attempt, "error", aerr.Error())
+		}
+		s.crashPoint(CrashDispatch)
+		if s.isCrashed() {
+			s.release(j.footprint)
+			s.finish(j, nil, ErrCrashed)
+			continue
 		}
 		s.log.Info("job dispatched",
 			"job", j.id, "tenant", j.req.Tenant, "key", j.key,
@@ -848,7 +821,7 @@ func (s *Server) release(footprint int64) {
 // process writes nothing, which is exactly what lets the restarted
 // server find the job again).
 func (s *Server) finish(j *job, resp *Response, err error) {
-	if s.journal != nil && !s.isCrashed() {
+	if !s.isCrashed() {
 		resp, err = s.journalOutcome(j, resp, err)
 	}
 	j.resp, j.err = resp, err
@@ -975,9 +948,7 @@ func (s *Server) crashPoint(point string) {
 // still holds everything a restarted server needs.
 func (s *Server) beginCrash() {
 	s.log.Warn("simulated process crash", "point", s.cfg.Crash.Point, "n", s.cfg.Crash.N)
-	if s.journal != nil {
-		s.journal.kill()
-	}
+	s.journal.kill()
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
@@ -1009,21 +980,19 @@ func (s *Server) isCrashed() bool {
 }
 
 // runJob executes one admitted job: the shared flags→options mapping,
-// the canonical fills, and a per-job deadline. Resumable jobs on a
-// journaled server run against a durable per-attempt namespace of the
-// work store so a restart can pick up their exec checkpoints; everything
-// else runs on a fresh in-memory store. Jobs with a kill schedule run
-// the full recovery pipeline.
+// the canonical fills, and a per-job deadline. Resumable jobs run
+// against a durable per-attempt namespace of the work store so a
+// restart can pick up their exec checkpoints; everything else runs on a
+// fresh in-memory store. Jobs with a kill schedule run the full recovery
+// pipeline.
 func (s *Server) runJob(j *job) (*Response, error) {
 	ctx, cancel := context.WithTimeout(j.ctx, j.req.timeout(s.cfg.DefaultTimeout))
 	defer cancel()
-	if s.crashCtx != nil {
-		stop := context.AfterFunc(s.crashCtx, cancel)
-		defer stop()
-	}
+	stop := context.AfterFunc(s.crashCtx, cancel)
+	defer stop()
 
 	rf := j.req.runFlags()
-	durable := s.journal != nil && j.req.resumable()
+	durable := j.req.resumable()
 	var base iosim.FS
 	if durable {
 		base = &prefixFS{base: s.workFS, prefix: workPrefix(j.id, j.attempt)}
@@ -1142,10 +1111,10 @@ type Metrics struct {
 	ReservedBytes int64 `json:"reserved_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes"`
 
-	// Degraded mirrors the journal's give-up flag; Journal carries the
-	// durability counters when journaling is on.
-	Degraded bool          `json:"degraded,omitempty"`
-	Journal  *JournalStats `json:"journal,omitempty"`
+	// Degraded mirrors the journal's give-up flag; Journal carries its
+	// durability counters.
+	Degraded bool         `json:"degraded,omitempty"`
+	Journal  JournalStats `json:"journal"`
 
 	Cache   CacheStats                 `json:"cache"`
 	Tenants map[string]*tenantCounters `json:"tenants"`
@@ -1179,11 +1148,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 	m.RejectedDraining = s.rejectedDraining.Load()
 	m.Cache = s.cache.stats()
 	m.Bufpool = bufpool.Snapshot()
-	if s.journal != nil {
-		js := s.journal.statsSnapshot()
-		m.Journal = &js
-		m.Degraded = js.Degraded || s.degraded.Load()
-	}
+	m.Journal = s.journal.statsSnapshot()
+	m.Degraded = m.Journal.Degraded || s.degraded.Load()
 	return m
 }
 
@@ -1226,20 +1192,17 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close stops the worker pool immediately: still-queued jobs fail with
-// ErrDraining and workers exit after their current job. On a journaled
-// server, orphaned fresh jobs are cancelled in the journal (their
-// submitters saw the rejection), while orphaned replayed jobs — which
-// have no submitter — stay live and replay on the next Open. Use Drain
-// for a graceful stop. Close is idempotent and always waits for the
-// workers to unwind.
+// ErrDraining and workers exit after their current job. Orphaned fresh
+// jobs are cancelled in the journal (their submitters saw the
+// rejection), while orphaned replayed jobs — which have no submitter —
+// stay live and replay on the next Open. Use Drain for a graceful stop.
+// Close is idempotent and always waits for the workers to unwind.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.wg.Wait()
-		if s.journal != nil {
-			s.journal.close()
-		}
+		s.journal.close()
 		return
 	}
 	s.draining = true
@@ -1257,7 +1220,7 @@ func (s *Server) Close() {
 	s.change.Broadcast()
 	s.mu.Unlock()
 	for _, j := range orphans {
-		if s.journal != nil && !j.replayed {
+		if !j.replayed {
 			s.journal.append(&walRec{Kind: recCancel, Job: j.id, Error: ErrDraining.Error()})
 		}
 		j.err = ErrDraining
@@ -1265,7 +1228,5 @@ func (s *Server) Close() {
 		close(j.done)
 	}
 	s.wg.Wait()
-	if s.journal != nil {
-		s.journal.close()
-	}
+	s.journal.close()
 }

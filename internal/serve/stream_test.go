@@ -20,7 +20,7 @@ import (
 // the same span sequence as the buffered Chrome trace in the job's own
 // response.
 func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -103,7 +103,7 @@ func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
 // the NDJSON lines, and the stream terminates with an end event once
 // the job is done.
 func TestJobTraceFollowSSE(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -163,7 +163,7 @@ func TestJobTraceFollowSSE(t *testing.T) {
 }
 
 func TestJobTraceUnknownJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := mustOpen(t, Config{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -16,7 +16,7 @@ import (
 //
 // Display timestamps are microseconds of simulated time; because that
 // scaling is lossy for float64, every event also carries the exact
-// start_s/dur_s in its args, which is what ParseChromeTrace restores —
+// start_s/dur_s in its args, which is what ParseChromeTraceInfo restores —
 // so a trace survives export and import bit-for-bit and still
 // reconciles with the counters.
 
@@ -103,18 +103,12 @@ func (t *Tracer) ExportChromeTrace(w io.Writer) error {
 	return cs.Close()
 }
 
-// ParseChromeTrace restores the spans of an exported trace, per rank in
-// emission order (metadata and flow events are skipped; span fields
-// come from the exact args payload). It returns the spans and the rank
-// count.
-func ParseChromeTrace(data []byte) ([]Span, int, error) {
-	spans, procs, _, err := ParseChromeTraceInfo(data)
-	return spans, procs, err
-}
-
-// ParseChromeTraceInfo is ParseChromeTrace plus the trace's recorded
-// drop count, read from the dropped_spans metadata event the exporter
-// and ChromeSink write (zero when absent — e.g. a foreign trace).
+// ParseChromeTraceInfo restores the spans of an exported trace, per rank
+// in emission order (metadata and flow events are skipped; span fields
+// come from the exact args payload). It returns the spans, the rank
+// count and the trace's recorded drop count, read from the
+// dropped_spans metadata event the exporter and ChromeSink write (zero
+// when absent — e.g. a foreign trace).
 func ParseChromeTraceInfo(data []byte) (spans []Span, procs int, dropped int64, err error) {
 	var in jsonTrace
 	if err := json.Unmarshal(data, &in); err != nil {

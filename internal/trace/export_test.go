@@ -34,7 +34,7 @@ func TestChromeTraceRoundTripExact(t *testing.T) {
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("exported trace does not validate: %v", err)
 	}
-	got, procs, err := ParseChromeTrace(buf.Bytes())
+	got, procs, _, err := ParseChromeTraceInfo(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func (s *NDJSONSink) Close() error {
 }
 
 // ParseNDJSON restores the spans of an NDJSON stream, stably grouped by
-// rank (matching ParseChromeTrace), together with the rank count and
+// rank (matching ParseChromeTraceInfo), together with the rank count and
 // the trailer's drop count (zero when the stream has no trailer — a
 // stream cut off mid-run).
 func ParseNDJSON(r io.Reader) (spans []Span, procs int, dropped int64, err error) {
@@ -293,7 +293,7 @@ func ParseNDJSON(r io.Reader) (spans []Span, procs int, dropped int64, err error
 // closing of the traceEvents array on Close. The output is exactly the
 // document the buffered exporter produced, modulo event order — spans
 // arrive in live emission order rather than rank by rank, which
-// ParseChromeTrace normalizes. ExportChromeTrace is itself implemented
+// ParseChromeTraceInfo normalizes. ExportChromeTrace is itself implemented
 // by replaying the buffer through this sink.
 type ChromeSink struct {
 	w       *bufio.Writer
