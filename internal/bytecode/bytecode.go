@@ -29,7 +29,9 @@ import (
 )
 
 // Version is the current encoding version. Decode rejects any other.
-const Version = 1
+// Version 2 replaced the per-column AXPY with the per-slab AXPY_COLS in
+// the same opcode slot.
+const Version = 2
 
 // Op is one opcode of the flat instruction stream.
 type Op uint8
@@ -37,7 +39,8 @@ type Op uint8
 // The opcode set. Structural opcodes (NODE_ENTER/NODE_EXIT/CKPT*/LOOP*/
 // END_LOOP) carry the control and instrumentation skeleton of the
 // original top-level statement list; the rest map one-to-one onto plan
-// nodes with preresolved operands.
+// nodes with preresolved operands, except OpAxpyCols, which stands for a
+// whole plan.Loop with its plan.Axpy body.
 const (
 	// OpInvalid is the zero value; a decoded stream must never contain it.
 	OpInvalid Op = iota
@@ -86,10 +89,15 @@ const (
 	// OpZeroVec clears vector slot A, sized to the rows of buffer B, or
 	// to the local rows of array C when B is -1 (plan.ZeroVec).
 	OpZeroVec
-	// OpAxpy accumulates vec[A] += bufs[B][:, vars[C]] * bufs[D][row,
-	// vars[H]] with row = vars[E]*slabWidth(F) + vars[G]; E, F and G are
-	// -1 when absent (plan.Axpy).
-	OpAxpy
+	// OpAxpyCols accumulates a whole in-core slab into vector A:
+	// vec[A] += bufs[B][:, c] * bufs[D][row0+c, vars[H]] for every column
+	// c of buffer B in order, with row0 = vars[E]*slabWidth(F); E and F
+	// are -1 when absent (row0 0, or vars[E] unscaled). It is the lowered
+	// form of a plan.Loop over cols(B) whose whole body is the plan.Axpy
+	// stepping B's column and D's row with the loop variable — the
+	// innermost GAXPY statement of Figures 9 and 12 — and is one op
+	// boundary for the whole slab.
+	OpAxpyCols
 	// OpSumStore reduces vector A to the owner of the current global
 	// column of array B and stores it into B's staging buffer; the
 	// implicit counter advances (plan.SumStore).
@@ -132,7 +140,7 @@ var opNames = [...]string{
 	OpFlushStage:   "FLUSH_STAGE",
 	OpStoreSlab:    "STORE_SLAB",
 	OpZeroVec:      "ZERO_VEC",
-	OpAxpy:         "AXPY",
+	OpAxpyCols:     "AXPY_COLS",
 	OpSumStore:     "SUM_STORE",
 	OpResetCounter: "RESET_COUNTER",
 	OpNewSlab:      "NEW_SLAB",

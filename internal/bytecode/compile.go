@@ -17,7 +17,8 @@ import (
 //
 // Compile also performs the static checks a run would otherwise fail on
 // at its first visit to the node: a reference to an undefined buffer, a
-// dead loop variable or an unknown array is a compile error.
+// dead loop variable or an unknown array, or a plan.Axpy outside the
+// column loop OpAxpyCols stands for, is a compile error.
 func Compile(p *plan.Program) (*Program, error) {
 	bc, err := Lower(p)
 	if err != nil {
@@ -172,6 +173,9 @@ func (c *compiler) vecRef(name, what string) (int32, error) {
 // compileLoop lowers a loop; ckptNode >= 0 marks a checkpoint-eligible
 // top-level SumStore loop and names its node index.
 func (c *compiler) compileLoop(n *plan.Loop, ckptNode int32) error {
+	if ax, ok := axpyColsShape(n); ok {
+		return c.compileAxpyCols(n, ax)
+	}
 	kind, arg, err := c.count(n.Count)
 	if err != nil {
 		return err
@@ -194,6 +198,59 @@ func (c *compiler) compileLoop(n *plan.Loop, ckptNode int32) error {
 	end := c.emit(Instr{Op: OpEndLoop, A: loopPC})
 	c.bc.Code[loopPC].D = end + 1
 	c.live[n.Var] = false
+	return nil
+}
+
+// axpyColsShape reports whether loop n is the GAXPY column sweep that
+// lowers to one AXPY_COLS: a loop over cols(X) whose whole body is a
+// plan.Axpy reading column v of X and multiplier row base+v, where v is
+// the loop variable and is used nowhere else. It returns that Axpy.
+func axpyColsShape(n *plan.Loop) (*plan.Axpy, bool) {
+	if n.Count.SlabsOf != "" || n.Count.ColsOf == "" || len(n.Body) != 1 {
+		return nil, false
+	}
+	ax, ok := n.Body[0].(*plan.Axpy)
+	if !ok || ax.A != n.Count.ColsOf || ax.ACol != n.Var || ax.BRowPlus != n.Var ||
+		ax.BRowBase == n.Var || ax.BCol == n.Var {
+		return nil, false
+	}
+	return ax, true
+}
+
+// compileAxpyCols lowers the column sweep axpyColsShape matched. The
+// loop variable gets no slot: the instruction steps the column itself.
+func (c *compiler) compileAxpyCols(n *plan.Loop, ax *plan.Axpy) error {
+	if c.live[n.Var] {
+		return fmt.Errorf("bytecode: loop variable %q shadows a live loop variable", n.Var)
+	}
+	vec, err := c.vecRef(ax.Vec, "Axpy")
+	if err != nil {
+		return err
+	}
+	a, err := c.bufRef(ax.A, "Axpy")
+	if err != nil {
+		return err
+	}
+	b, err := c.bufRef(ax.B, "Axpy")
+	if err != nil {
+		return err
+	}
+	bCol, err := c.varRef(ax.BCol, "Axpy column variable")
+	if err != nil {
+		return err
+	}
+	ins := Instr{Op: OpAxpyCols, A: vec, B: a, D: b, E: -1, F: -1, H: bCol}
+	if ax.BRowBase != "" {
+		if ins.E, err = c.varRef(ax.BRowBase, "Axpy row variable"); err != nil {
+			return err
+		}
+		if ax.BRowScale != "" {
+			if ins.F, err = c.arrayIdx(ax.BRowScale, "Axpy slab width"); err != nil {
+				return err
+			}
+		}
+	}
+	c.emit(ins)
 	return nil
 }
 
@@ -292,44 +349,8 @@ func (c *compiler) compileNode(n plan.Node) error {
 		return nil
 
 	case *plan.Axpy:
-		vec, err := c.vecRef(n.Vec, "Axpy")
-		if err != nil {
-			return err
-		}
-		a, err := c.bufRef(n.A, "Axpy")
-		if err != nil {
-			return err
-		}
-		aCol, err := c.varRef(n.ACol, "Axpy column variable")
-		if err != nil {
-			return err
-		}
-		b, err := c.bufRef(n.B, "Axpy")
-		if err != nil {
-			return err
-		}
-		bCol, err := c.varRef(n.BCol, "Axpy column variable")
-		if err != nil {
-			return err
-		}
-		ins := Instr{Op: OpAxpy, A: vec, B: a, C: aCol, D: b, E: -1, F: -1, G: -1, H: bCol}
-		if n.BRowBase != "" {
-			if ins.E, err = c.varRef(n.BRowBase, "Axpy row variable"); err != nil {
-				return err
-			}
-			if n.BRowScale != "" {
-				if ins.F, err = c.arrayIdx(n.BRowScale, "Axpy slab width"); err != nil {
-					return err
-				}
-			}
-		}
-		if n.BRowPlus != "" {
-			if ins.G, err = c.varRef(n.BRowPlus, "Axpy row variable"); err != nil {
-				return err
-			}
-		}
-		c.emit(ins)
-		return nil
+		return fmt.Errorf("bytecode: Axpy into %q outside the column loop AXPY_COLS lowers "+
+			"(a loop over cols(%s) whose whole body steps the column and the multiplier row with the loop variable)", n.Vec, n.A)
 
 	case *plan.SumStore:
 		vec, err := c.vecRef(n.Vec, "SumStore")

@@ -143,25 +143,17 @@ func (p *Program) operands(ins Instr) string {
 			return fmt.Sprintf(" %s rows-like %s", p.vecName(ins.A), p.bufName(ins.B))
 		}
 		return fmt.Sprintf(" %s rows-of %s", p.vecName(ins.A), p.arrayName(ins.C))
-	case OpAxpy:
-		row := ""
+	case OpAxpyCols:
+		row := "c"
 		if ins.E >= 0 {
 			row = p.varName(ins.E)
 			if ins.F >= 0 {
 				row += "*slab_width(" + p.arrayName(ins.F) + ")"
 			}
+			row += "+c"
 		}
-		if ins.G >= 0 {
-			if row != "" {
-				row += "+"
-			}
-			row += p.varName(ins.G)
-		}
-		if row == "" {
-			row = "0"
-		}
-		return fmt.Sprintf(" %s += %s(:,%s) * %s(%s,%s)",
-			p.vecName(ins.A), p.bufName(ins.B), p.varName(ins.C), p.bufName(ins.D), row, p.varName(ins.H))
+		return fmt.Sprintf(" %s += %s(:,c) * %s(%s,%s) for c in cols(%s)",
+			p.vecName(ins.A), p.bufName(ins.B), p.bufName(ins.D), row, p.varName(ins.H), p.bufName(ins.B))
 	case OpSumStore:
 		return fmt.Sprintf(" %s -> %s", p.vecName(ins.A), p.arrayName(ins.B))
 	case OpResetCounter:

@@ -273,7 +273,7 @@ func (r *decBuf) count(what string, minSize int) int {
 		return 0
 	}
 	if uint64(n)*uint64(minSize) > uint64(len(r.buf)) {
-		r.fail(what, int(n) * minSize)
+		r.fail(what, int(n)*minSize)
 		return 0
 	}
 	return int(n)

@@ -122,7 +122,7 @@ func (p *Program) Validate() error {
 			if err = optSlot(pc, ins.B, len(p.BufNames), "buffer slot"); err == nil {
 				err = optSlot(pc, ins.C, len(p.Arrays), "array index")
 			}
-		case OpAxpy:
+		case OpAxpyCols:
 			for _, ck := range []struct {
 				v    int32
 				n    int
@@ -131,11 +131,9 @@ func (p *Program) Validate() error {
 			}{
 				{ins.A, len(p.VecNames), "vector slot", false},
 				{ins.B, len(p.BufNames), "buffer slot", false},
-				{ins.C, len(p.VarNames), "variable slot", false},
 				{ins.D, len(p.BufNames), "buffer slot", false},
 				{ins.E, len(p.VarNames), "variable slot", true},
 				{ins.F, len(p.Arrays), "array index", true},
-				{ins.G, len(p.VarNames), "variable slot", true},
 				{ins.H, len(p.VarNames), "variable slot", false},
 			} {
 				if ck.opt {
@@ -148,7 +146,7 @@ func (p *Program) Validate() error {
 				}
 			}
 			if err == nil && ins.E == -1 && ins.F != -1 {
-				err = fmt.Errorf("%w: pc %d: AXPY row scale without a row base", ErrMalformed, pc)
+				err = fmt.Errorf("%w: pc %d: AXPY_COLS row scale without a row base", ErrMalformed, pc)
 			}
 		case OpSumStore:
 			if err = slot(pc, ins.A, len(p.VecNames), "vector slot"); err == nil {

@@ -23,8 +23,9 @@ type bcFrame struct {
 // execute is the fetch-decode loop, run from the resume cursor
 // (startNode, startIter); (0,0) is a fresh run. Control opcodes are
 // handled inline; plan opcodes dispatch to their handlers. Every
-// instruction is an op boundary for cancellation; on the plain path the
-// check is a constant-nil load.
+// instruction is an op boundary for cancellation, so a GAXPY slab's
+// whole column sweep (one AXPY_COLS) is a single boundary; on the plain
+// path the check is a constant-nil load.
 func (in *interp) execute(startNode, startIter int) error {
 	bc := in.bc
 	code := bc.Code
@@ -164,8 +165,8 @@ func (in *interp) exec(ins *bytecode.Instr) error {
 		return in.storeSlab(ins)
 	case bytecode.OpZeroVec:
 		return in.zeroVec(ins)
-	case bytecode.OpAxpy:
-		return in.axpy(ins)
+	case bytecode.OpAxpyCols:
+		return in.axpyCols(ins)
 	case bytecode.OpSumStore:
 		return in.sumStore(ins)
 	case bytecode.OpResetCounter:
@@ -304,7 +305,11 @@ func (in *interp) zeroVec(ins *bytecode.Instr) error {
 	return nil
 }
 
-func (in *interp) axpy(ins *bytecode.Instr) error {
+// axpyCols runs one AXPY_COLS: every column of the in-core slab in one
+// op boundary, with the operands and shapes checked once. The simulated
+// clock is still charged once per column, in column order, because the
+// golden fixtures pin that Compute span sequence.
+func (in *interp) axpyCols(ins *bytecode.Instr) error {
 	vec := in.vecs[ins.A]
 	if vec == nil {
 		return fmt.Errorf("exec: Axpy into unallocated vector %q", in.bc.VecNames[ins.A])
@@ -317,25 +322,64 @@ func (in *interp) axpy(ins *bytecode.Instr) error {
 	if bb == nil {
 		return fmt.Errorf("exec: Axpy reads unread buffer %q", in.bc.BufNames[ins.D])
 	}
-	row := 0
+	if a.Rows != len(vec) {
+		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
+	}
+	row0 := 0
 	if ins.E >= 0 {
 		scale := 1
 		if ins.F >= 0 {
 			scale = in.tab[ins.F].slab.Width
 		}
-		row = in.vars[ins.E] * scale
+		row0 = in.vars[ins.E] * scale
 	}
-	if ins.G >= 0 {
-		row += in.vars[ins.G]
-	}
-	if a.Rows != len(vec) {
-		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
+	cols, m := a.Cols, in.vars[ins.H]
+	if row0 < 0 || row0+cols > bb.Rows || m < 0 || m >= bb.Cols {
+		return fmt.Errorf("exec: Axpy multipliers rows [%d,+%d) of column %d outside buffer %q (%dx%d)",
+			row0, cols, m, in.bc.BufNames[ins.D], bb.Rows, bb.Cols)
 	}
 	if !in.phantom {
-		axpyCol(vec, a.Col(in.vars[ins.C]), bb.At(row, in.vars[ins.H]))
+		axpyCols(vec, a.Data[:cols*a.Rows], bb.Col(m)[row0:row0+cols])
 	}
-	in.proc.Compute(2 * int64(a.Rows))
+	flops := 2 * int64(a.Rows)
+	for range cols {
+		in.proc.Compute(flops)
+	}
 	return nil
+}
+
+// axpyCols adds x[:, c]*coef[c] to y for every column c of the
+// column-major x (len(y) rows, len(coef) columns). It blocks four
+// columns per pass: each element takes its four adds in column order in
+// a register, one multiply and one add each, so y is bitwise what
+// axpyCol column by column leaves, while y is loaded and stored once per
+// four columns instead of once per column. Leftover columns go through
+// axpyCol. Kept out of line for the same placement reason as axpyCol.
+//
+//go:noinline
+func axpyCols(y, x, coef []float64) {
+	rows := len(y)
+	for ; len(coef) >= 4; coef = coef[4:] {
+		// Each column resliced to exactly rows proves its index in the
+		// row loop below.
+		x0 := x[:rows]
+		x1 := x[rows:][:rows]
+		x2 := x[2*rows:][:rows]
+		x3 := x[3*rows:][:rows]
+		x = x[4*rows:]
+		c0, c1, c2, c3 := coef[0], coef[1], coef[2], coef[3]
+		for r := range y {
+			t := y[r]
+			t += c0 * x0[r]
+			t += c1 * x1[r]
+			t += c2 * x2[r]
+			t += c3 * x3[r]
+			y[r] = t
+		}
+	}
+	for c, a := range coef {
+		axpyCol(y, x[c*rows:(c+1)*rows], a)
+	}
 }
 
 // axpyCol adds a*x to y: y[i] += a*x[i], one multiply and one add per

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,27 +238,40 @@ func TestBytecodeCarriesPlanFingerprint(t *testing.T) {
 
 // TestLoweringFailureStartsNoRank: a plan the bytecode compiler rejects
 // fails Run, Resume and RunResilient before any rank starts, leaving no
-// local array file on the backing store.
+// local array file on the backing store. Each bad statement follows the
+// whole valid program, so a rank started before lowering would have
+// written its arrays.
 func TestLoweringFailureStartsNoRank(t *testing.T) {
-	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *res.Program
-	bad.Body = append([]plan.Node{&plan.WriteBuf{Array: "c", Buf: "never-read"}}, res.Program.Body...)
-	fs := iosim.NewMemFS()
-	out, err := Run(&bad, sim.Delta(4), Options{FS: fs, Fill: sweepFills()})
-	if err == nil || !strings.Contains(err.Error(), "bytecode") {
-		t.Fatalf("unlowerable plan must fail with a lowering error, got result %v, err %v", out, err)
-	}
-	ckpt := &CheckpointSpec{Every: 1}
-	if _, err := Resume(&bad, sim.Delta(4), Options{FS: fs, Checkpoint: ckpt}); err == nil || errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("Resume must reject the unlowerable plan before reading manifests, got %v", err)
-	}
-	if _, err := RunResilient(&bad, sim.Delta(4), Options{FS: fs, Checkpoint: ckpt, Parity: true}, 1); err == nil {
-		t.Fatal("RunResilient accepted an unlowerable plan")
-	}
-	if names := fs.Names(); len(names) != 0 {
-		t.Fatalf("failed lowering left files behind: %v", names)
+	for _, tc := range []struct {
+		name, want string
+		stmt       plan.Node
+	}{
+		{"undefined buffer", "never-read", &plan.WriteBuf{Array: "c", Buf: "never-read"}},
+		{"axpy outside its column loop", "AXPY_COLS", &plan.Axpy{Vec: "temp", A: "icla_a", ACol: "i",
+			B: "icla_b", BRowPlus: "i", BCol: "m"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := *res.Program
+			bad.Body = append(slices.Clone(res.Program.Body), tc.stmt)
+			fs := iosim.NewMemFS()
+			out, err := Run(&bad, sim.Delta(4), Options{FS: fs, Fill: sweepFills()})
+			if err == nil || !strings.Contains(err.Error(), "bytecode") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("unlowerable plan must fail with a lowering error naming %q, got result %v, err %v", tc.want, out, err)
+			}
+			ckpt := &CheckpointSpec{Every: 1}
+			if _, err := Resume(&bad, sim.Delta(4), Options{FS: fs, Checkpoint: ckpt}); err == nil || errors.Is(err, ErrNoCheckpoint) {
+				t.Fatalf("Resume must reject the unlowerable plan before reading manifests, got %v", err)
+			}
+			if _, err := RunResilient(&bad, sim.Delta(4), Options{FS: fs, Checkpoint: ckpt, Parity: true}, 1); err == nil {
+				t.Fatal("RunResilient accepted an unlowerable plan")
+			}
+			if names := fs.Names(); len(names) != 0 {
+				t.Fatalf("failed lowering left files behind: %v", names)
+			}
+		})
 	}
 }

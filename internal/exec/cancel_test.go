@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,16 +59,31 @@ func TestCancelStopsAndReleasesBuffers(t *testing.T) {
 	fills := map[string]func(int, int) float64{
 		res.Analysis.A: gaxpy.FillA, res.Analysis.B: gaxpy.FillB,
 	}
+	opts := Options{
+		Fill:    fills,
+		Runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
+	}
 	// Sweep the cancellation point from "before the first node" to deep
 	// into the slab loops, with prefetch and write-behind on so the
 	// overlapped-I/O buffers are in flight when the run stops.
-	for _, after := range []int64{0, 1, 7, 40, 200, 1000} {
+	afters := []int64{0, 1, 7, 40, 200, 1000}
+	// Every point must fall before the end of the run: an uncancelled run
+	// of the same program consults Err once per op boundary per rank.
+	probe := newCancelAfter(math.MaxInt64)
+	out, err := RunCtx(probe, res.Program, sim.Delta(4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Close()
+	calls := math.MaxInt64 - probe.left.Load()
+	t.Logf("uncancelled run: %d Err calls", calls)
+	if last := afters[len(afters)-1]; last >= calls {
+		t.Fatalf("cancellation point %d is not below the %d Err calls of an uncancelled run", last, calls)
+	}
+	for _, after := range afters {
 		bufpool.SetChecked(true)
 		bufpool.ResetStats()
-		_, err := RunCtx(newCancelAfter(after), res.Program, sim.Delta(4), Options{
-			Fill:    fills,
-			Runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
-		})
+		_, err := RunCtx(newCancelAfter(after), res.Program, sim.Delta(4), opts)
 		if err == nil {
 			t.Fatalf("after=%d: cancelled run completed", after)
 		}
